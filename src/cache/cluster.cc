@@ -289,6 +289,7 @@ std::uint64_t CacheCluster::ApplyUpdateToWorker(WorkerId worker,
   cp_stats_.blocks_pinned += update.pin.size();
   cp_stats_.blocks_unpinned += update.unpin.size();
   cp_stats_.blocks_loaded += update.load.size();
+  cp_stats_.pin_failures += failed;
   WorkerCounters& wc = worker_counters_[worker];
   wc.pins->Increment(update.pin.size());
   wc.unpins->Increment(update.unpin.size());

@@ -34,6 +34,9 @@ struct ControlPlaneStats {
   std::uint64_t blocks_pinned = 0;
   std::uint64_t blocks_unpinned = 0;
   std::uint64_t blocks_loaded = 0;
+  // Load/pin requests that failed: the sum of every
+  // cluster.worker.W.pin_failures counter, readable without a snapshot.
+  std::uint64_t pin_failures = 0;
 };
 
 }  // namespace opus::cache

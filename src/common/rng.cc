@@ -96,21 +96,6 @@ std::vector<std::size_t> Rng::Permutation(std::size_t n) {
   return p;
 }
 
-std::size_t Rng::NextDiscrete(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    OPUS_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  OPUS_CHECK_GT(total, 0.0);
-  double x = NextDouble() * total;
-  for (std::size_t k = 0; k + 1 < weights.size(); ++k) {
-    x -= weights[k];
-    if (x < 0.0) return k;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 }  // namespace opus

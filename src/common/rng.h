@@ -58,11 +58,6 @@ class Rng {
   // A random permutation of {0, 1, ..., n-1}.
   std::vector<std::size_t> Permutation(std::size_t n);
 
-  // Samples an index in [0, weights.size()) with probability proportional to
-  // weights[k]. Requires at least one strictly positive weight and no
-  // negative weights.
-  std::size_t NextDiscrete(const std::vector<double>& weights);
-
   // Derives an independent child stream (useful to give each user/file its
   // own deterministic stream regardless of consumption order elsewhere).
   Rng Fork();

@@ -395,14 +395,7 @@ void Daemon::CheckAnomalies() {
     reason = "audit_violation";
   }
   last_audit_violations_ = audit.total_violations;
-  std::uint64_t pins = 0;
-  const obs::MetricsSnapshot snap = cluster_.metrics().Snapshot();
-  for (const obs::CounterSample& c : snap.counters) {
-    if (c.name.size() > 13 &&
-        c.name.compare(c.name.size() - 13, 13, ".pin_failures") == 0) {
-      pins += c.value;
-    }
-  }
+  const std::uint64_t pins = cluster_.control_plane_stats().pin_failures;
   if (reason.empty() && pins > last_pin_failures_) reason = "pin_failure";
   last_pin_failures_ = pins;
   if (reason.empty() && config_.p99_threshold_ms > 0.0 && !p99_tripped_) {

@@ -1,6 +1,10 @@
 #include "workload/trace.h"
 
+#include <cmath>
+#include <optional>
+
 #include "common/check.h"
+#include "common/discrete_sampler.h"
 
 namespace opus::workload {
 
@@ -16,52 +20,58 @@ Trace GenerateTrace(const std::vector<UserTraceSpec>& specs,
                     std::size_t total_events, Rng& rng) {
   OPUS_CHECK(!specs.empty());
   const std::size_t n = specs.size();
-  for (const auto& s : specs) {
-    OPUS_CHECK_GT(s.genuine_rate, 0.0);
-    double total = 0.0;
-    for (double p : s.true_prefs) total += p;
-    OPUS_CHECK_GT(total, 0.0);
+  // Stream i < n is user i's genuine stream; stream n + i is its spurious
+  // stream, at rate 0 until the user's cheat trigger fires. Triggers only
+  // ever switch on, so the stream sampler is rebuilt at most n times.
+  std::vector<double> rates(2 * n, 0.0);
+  std::vector<DiscreteSampler> genuine;
+  genuine.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const UserTraceSpec& s = specs[i];
+    OPUS_CHECK_MSG(std::isfinite(s.genuine_rate) && s.genuine_rate > 0.0,
+                   "user " << i << " genuine_rate is " << s.genuine_rate);
+    OPUS_CHECK_MSG(std::isfinite(s.spurious_rate),
+                   "user " << i << " spurious_rate is " << s.spurious_rate);
+    genuine.emplace_back(s.true_prefs);
+    rates[i] = s.genuine_rate;
+    if (s.cheat_after_genuine == 0 && s.spurious_rate > 0.0) {
+      rates[n + i] = s.spurious_rate;
+    }
   }
-
+  DiscreteSampler streams(rates);
+  // Built when the stream first fires, which can be before the trigger: the
+  // chain may round onto a trailing zero-rate stream.
+  std::vector<std::optional<DiscreteSampler>> spurious(n);
   std::vector<std::size_t> genuine_count(n, 0);
   Trace trace;
   trace.events.reserve(total_events);
   double now = 0.0;
 
   for (std::size_t k = 0; k < total_events; ++k) {
-    // Current stream rates: one genuine stream per user plus a spurious
-    // stream for each user whose trigger has fired.
-    std::vector<double> rates;
-    rates.reserve(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rates.push_back(specs[i].genuine_rate);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool cheating = genuine_count[i] >= specs[i].cheat_after_genuine &&
-                            specs[i].spurious_rate > 0.0;
-      rates.push_back(cheating ? specs[i].spurious_rate : 0.0);
-    }
-    double total_rate = 0.0;
-    for (double r : rates) total_rate += r;
-
-    now += rng.NextExponential(total_rate);
-    const std::size_t stream = rng.NextDiscrete(rates);
+    now += rng.NextExponential(streams.total());
+    const std::size_t stream = streams.Sample(rng);
 
     AccessEvent e;
     e.time_sec = now;
     if (stream < n) {
+      const UserTraceSpec& s = specs[stream];
       e.user = static_cast<cache::UserId>(stream);
       e.spurious = false;
-      e.file = static_cast<cache::FileId>(
-          rng.NextDiscrete(specs[stream].true_prefs));
-      ++genuine_count[stream];
+      e.file = static_cast<cache::FileId>(genuine[stream].Sample(rng));
+      if (++genuine_count[stream] == s.cheat_after_genuine &&
+          s.spurious_rate > 0.0) {
+        rates[n + stream] = s.spurious_rate;
+        streams = DiscreteSampler(rates);
+      }
     } else {
       const std::size_t i = stream - n;
       e.user = static_cast<cache::UserId>(i);
       e.spurious = true;
-      OPUS_CHECK(!specs[i].spurious_prefs.empty());
-      e.file =
-          static_cast<cache::FileId>(rng.NextDiscrete(specs[i].spurious_prefs));
+      if (!spurious[i]) {
+        OPUS_CHECK(!specs[i].spurious_prefs.empty());
+        spurious[i].emplace(specs[i].spurious_prefs);
+      }
+      e.file = static_cast<cache::FileId>(spurious[i]->Sample(rng));
     }
     trace.events.push_back(e);
   }

@@ -31,13 +31,15 @@ struct AccessEvent {
 };
 
 struct UserTraceSpec {
-  // Genuine access distribution over files (need not be normalized; must
-  // have a positive sum) and rate (accesses per second).
+  // Genuine access distribution over files (need not be normalized; the
+  // weights must be finite and >= 0 with a finite, positive sum) and rate
+  // (accesses per second, finite and > 0).
   std::vector<double> true_prefs;
   double genuine_rate = 1.0;
 
   // Cheat phase: after this many genuine accesses, the user additionally
-  // emits spurious accesses from `spurious_prefs` at `spurious_rate`.
+  // emits spurious accesses from `spurious_prefs` at `spurious_rate`
+  // (finite; a rate <= 0 never cheats).
   std::size_t cheat_after_genuine = std::numeric_limits<std::size_t>::max();
   double spurious_rate = 0.0;
   std::vector<double> spurious_prefs;

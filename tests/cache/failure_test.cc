@@ -145,6 +145,36 @@ TEST(FailureTest, OverloadedRecoveryForcesReconciliationPass) {
   EXPECT_EQ(r.bytes_from_disk, 4 * kMiB);
 }
 
+TEST(FailureTest, PinFailureTotalIsTheSumOfWorkerCounters) {
+  // The control-plane total is what the daemon's anomaly check reads after
+  // every request; it must track the per-worker counters through overloaded
+  // allocations and an overloaded recovery.
+  ClusterConfig cfg;
+  cfg.num_workers = 3;
+  cfg.num_users = 1;
+  cfg.cache_capacity_bytes = 6 * kMiB;
+  Catalog catalog(1 * kMiB);
+  catalog.Register("f0", 8 * kMiB);
+  catalog.Register("f1", 4 * kMiB);
+  CacheCluster cluster(cfg, std::move(catalog));
+  const auto counter_sum = [&cluster] {
+    std::uint64_t sum = 0;
+    for (const obs::CounterSample& c : cluster.metrics().Snapshot().counters) {
+      if (c.name.ends_with(".pin_failures")) sum += c.value;
+    }
+    return sum;
+  };
+  EXPECT_EQ(cluster.control_plane_stats().pin_failures, 0u);
+  cluster.ApplyAllocation({1.0, 1.0});  // 12 blocks into 6 MiB
+  EXPECT_GT(cluster.control_plane_stats().pin_failures, 0u);
+  EXPECT_EQ(cluster.control_plane_stats().pin_failures, counter_sum());
+  cluster.FailWorker(1);
+  cluster.ApplyAllocation({0.5, 1.0});
+  cluster.RecoverWorker(1);
+  cluster.ApplyAllocation({1.0, 1.0});
+  EXPECT_EQ(cluster.control_plane_stats().pin_failures, counter_sum());
+}
+
 TEST(FailureTest, MasterReallocationHealsTheCache) {
   // End-to-end: fail a worker mid-flight and leave it down across a
   // reallocation round — the master cannot push pins to a dead worker, so

@@ -124,17 +124,6 @@ TEST(RngTest, PermutationsVary) {
   EXPECT_NE(p1, p2);
 }
 
-TEST(RngTest, DiscreteRespectsWeights) {
-  Rng rng(37);
-  const std::vector<double> w = {0.0, 3.0, 1.0};
-  int counts[3] = {0, 0, 0};
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.NextDiscrete(w)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.75, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.25, 0.01);
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent(41);
   Rng child = parent.Fork();

@@ -183,6 +183,44 @@ TEST(DaemonTelemetryTest, TinyP99ThresholdTripsOneAutomaticDump) {
   std::remove(config.flight_path.c_str());
 }
 
+TEST(DaemonTelemetryTest, PinFailureTripsFollowTheWorkerCounters) {
+  // The anomaly check reads the control plane's running pin-failure total
+  // instead of summing the per-worker counters out of a registry snapshot.
+  // Replay that snapshot rule here as the oracle: a request trips a dump
+  // when it grew the audit violations or the summed counters.
+  DaemonConfig config = SmallConfig();
+  config.flight_path = TempPath("pins") + ".json";
+  Daemon daemon(config, SmallCatalog());
+  const auto counter_sum = [&daemon] {
+    std::uint64_t sum = 0;
+    for (const obs::CounterSample& c :
+         daemon.cluster().metrics().Snapshot().counters) {
+      if (c.name.ends_with(".pin_failures")) sum += c.value;
+    }
+    return sum;
+  };
+  std::uint64_t expected_trips = 0, last_pins = 0, last_audit = 0;
+  // Six files' worth of capacity overloads the 12 MiB cache (18 blocks).
+  for (const char* request :
+       {"gen 200 1", "reconfig capacity 6", "gen 200 2", "gen 300 3",
+        "reconfig capacity 0", "gen 200 4", "reconfig capacity 6",
+        "gen 300 5", "status"}) {
+    EXPECT_TRUE(IsOk(daemon.HandleRequest(request))) << request;
+    const std::uint64_t pins = counter_sum();
+    const std::uint64_t audit =
+        daemon.master().audit_report().total_violations;
+    if (pins > last_pins || audit > last_audit) ++expected_trips;
+    last_pins = pins;
+    last_audit = audit;
+    EXPECT_EQ(daemon.cluster().control_plane_stats().pin_failures, pins)
+        << request;
+    EXPECT_EQ(daemon.flight_trips(), expected_trips) << request;
+  }
+  EXPECT_GT(last_pins, 0u);
+  EXPECT_GT(expected_trips, 0u);
+  std::remove(config.flight_path.c_str());
+}
+
 TEST(DaemonTelemetryTest, DisarmedP99ThresholdNeverTrips) {
   Daemon daemon(SmallConfig(), SmallCatalog());  // p99_threshold_ms = 0
   daemon.HandleRequest("gen 100 7");
