@@ -13,10 +13,7 @@
 // Each cell also reruns with a live RuntimeTelemetry sink attached (the
 // daemon's always-on configuration) and reports the throughput delta —
 // the telemetry run is held to the same byte-identity gate, plus a check
-// that sampling actually recorded latencies. Unmanaged cells additionally
-// rerun with the optimistic seqlock read path disabled (the pre-existing
-// mutex-per-shard path) and report optimistic_speedup_vs_mutex — the A/B
-// column for the lock-free probe protocol, same gate.
+// that sampling actually recorded latencies.
 //
 // Emits machine-readable JSON (default BENCH_serving.json) with
 // median/p90 events/sec per cell. `--smoke` shrinks the workload for CI.
@@ -166,8 +163,7 @@ Timed RunOracle(bool managed,
 // cells too: wall-clock telemetry must not perturb deterministic state.
 Timed RunEngine(bool managed, unsigned threads,
                 const std::vector<workload::AccessEvent>& events, int reps,
-                bool with_telemetry, std::uint64_t* samples_out,
-                bool optimistic = true) {
+                bool with_telemetry, std::uint64_t* samples_out) {
   Timed t;
   std::vector<double> eps;
   for (int rep = 0; rep < reps; ++rep) {
@@ -175,7 +171,6 @@ Timed RunEngine(bool managed, unsigned threads,
     obs::RuntimeTelemetry telemetry;
     serve::EngineConfig ecfg;
     ecfg.threads = threads;
-    ecfg.optimistic_unmanaged = optimistic;
     if (with_telemetry) ecfg.telemetry = &telemetry;
     serve::ServingEngine engine(p.cluster.get(), p.master.get(), ecfg);
     const auto start = std::chrono::steady_clock::now();
@@ -274,24 +269,6 @@ int Run(bool smoke, const std::string& out_path, int reps) {
           engine.median_eps > 0.0
               ? (1.0 - tele.median_eps / engine.median_eps) * 100.0
               : 0.0;
-      // Unmanaged cells also run the pre-optimistic mutex read path
-      // (optimistic_unmanaged = false), held to the same byte-identity
-      // gate. optimistic_speedup_vs_mutex is the A/B ratio the seqlock
-      // path buys; like speedup_vs_serial it is informational on
-      // single-CPU hosts where the probe threads serialize.
-      double mutex_eps = 0.0;
-      double opt_vs_mutex = 0.0;
-      bool mutex_match = true;
-      if (!managed) {
-        const Timed mutex_run = RunEngine(managed, threads, events, reps,
-                                          false, nullptr,
-                                          /*optimistic=*/false);
-        mutex_eps = mutex_run.median_eps;
-        mutex_match = Compare(oracle.obs, mutex_run.obs).ok();
-        all_ok = all_ok && mutex_match;
-        opt_vs_mutex =
-            mutex_eps > 0.0 ? engine.median_eps / mutex_eps : 0.0;
-      }
       std::fprintf(
           out,
           "      {\"threads\": %u, \"median_events_per_sec\": %.0f, "
@@ -303,14 +280,6 @@ int Run(bool smoke, const std::string& out_path, int reps) {
           tele.median_eps, overhead_pct,
           static_cast<unsigned long long>(samples),
           tele_checks.ok() && samples > 0 ? "true" : "false");
-      if (!managed) {
-        std::fprintf(
-            out,
-            "       \"mutex\": {\"median_events_per_sec\": %.0f, "
-            "\"replay_match\": %s}, "
-            "\"optimistic_speedup_vs_mutex\": %.2f,\n",
-            mutex_eps, mutex_match ? "true" : "false", opt_vs_mutex);
-      }
       std::fprintf(
           out,
           "       \"checks\": {\"metrics\": %s, \"evictions\": %s, "
@@ -327,15 +296,7 @@ int Run(bool smoke, const std::string& out_path, int reps) {
                    managed ? "managed" : "unmanaged", threads,
                    engine.median_eps / 1e6, oracle.median_eps / 1e6,
                    speedup, tele.median_eps / 1e6, overhead_pct,
-                   checks.ok() && tele_checks.ok() && mutex_match
-                       ? "ok" : "FAIL");
-      if (!managed) {
-        std::fprintf(stderr,
-                     "  optimistic vs mutex: %.2f Mev/s vs %.2f Mev/s "
-                     "(%.2fx), mutex replay=%s\n",
-                     engine.median_eps / 1e6, mutex_eps / 1e6, opt_vs_mutex,
-                     mutex_match ? "ok" : "FAIL");
-      }
+                   checks.ok() && tele_checks.ok() ? "ok" : "FAIL");
     }
     std::fprintf(out, "     ]}%s\n", managed ? "," : "");
   }

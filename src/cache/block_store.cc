@@ -1,7 +1,5 @@
 #include "cache/block_store.h"
 
-#include <atomic>
-
 #include "common/check.h"
 
 namespace opus::cache {
@@ -18,23 +16,6 @@ inline std::uint64_t HashBlock(BlockId x) {
 }
 
 constexpr std::size_t kInitialTableSize = 16;  // power of two
-
-// The fields a lock-free Probe reads (table entries, slot block ids) are
-// accessed through relaxed std::atomic_ref on BOTH sides, so a racing
-// probe reads a stale-or-new value instead of tearing (and stays clean
-// under TSan). Relaxed atomics compile to plain loads/stores on x86-64 and
-// AArch64, so the single-threaded hot path is unchanged; the ShardedStore
-// seqlock supplies all required ordering.
-template <typename T>
-inline T RelaxedLoad(const T& field) {
-  return std::atomic_ref<T>(const_cast<T&>(field))
-      .load(std::memory_order_relaxed);
-}
-
-template <typename T>
-inline void RelaxedStore(T& field, T value) {
-  std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
-}
 
 }  // namespace
 
@@ -53,45 +34,23 @@ std::uint32_t BlockStore::FindSlot(BlockId block) const {
   const std::size_t mask = table_.size() - 1;
   std::size_t i = HashBlock(block) & mask;
   while (true) {
-    const std::uint32_t s = RelaxedLoad(table_[i]);
+    const std::uint32_t s = table_[i];
     if (s == kNil) return kNil;
-    if (RelaxedLoad(slots_[s].block) == block) return s;
+    if (slots_[s].block == block) return s;
     i = (i + 1) & mask;
   }
-}
-
-bool BlockStore::Probe(BlockId block) const {
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = HashBlock(block) & mask;
-  // Bounded walk: with occupancy kept under 3/4 a quiescent table always
-  // terminates on a kNil, but a reader racing a backward-shift deletion can
-  // transiently see a longer (even cyclic) run. The bound makes that a
-  // wrong answer — which the caller's seqlock validation discards — rather
-  // than a hang.
-  for (std::size_t step = 0; step <= mask; ++step) {
-    const std::uint32_t s = RelaxedLoad(table_[i]);
-    if (s == kNil) return false;
-    if (RelaxedLoad(slots_[s].block) == block) return true;
-    i = (i + 1) & mask;
-  }
-  return false;  // torn view under a concurrent writer; validation rejects
 }
 
 void BlockStore::TableInsert(std::uint32_t slot) {
   const std::size_t mask = table_.size() - 1;
   std::size_t i = HashBlock(slots_[slot].block) & mask;
-  while (RelaxedLoad(table_[i]) != kNil) i = (i + 1) & mask;
-  RelaxedStore(table_[i], slot);
+  while (table_[i] != kNil) i = (i + 1) & mask;
+  table_[i] = slot;
 }
 
 void BlockStore::GrowTableIfNeeded() {
   // Keep occupancy under 3/4 so linear probes stay short.
   if ((num_blocks_ + 1) * 4 <= table_.size() * 3) return;
-  // A probe-safe store can never grow: ReserveForConcurrentProbes sized the
-  // table for the promised block bound, and reallocating here would free
-  // memory a lock-free prober may still be reading.
-  OPUS_CHECK_MSG(!probe_safe_.load(std::memory_order_relaxed),
-                 "BlockStore grew past its ReserveForConcurrentProbes bound");
   std::vector<std::uint32_t> old = std::move(table_);
   table_.assign(old.size() * 2, kNil);
   for (std::uint32_t s : old) {
@@ -117,33 +76,10 @@ void BlockStore::TableErase(BlockId block) {
     const bool reachable_from_own_run =
         (i <= j) ? (i < k && k <= j) : (i < k || k <= j);
     if (reachable_from_own_run) continue;
-    RelaxedStore(table_[i], table_[j]);
+    table_[i] = table_[j];
     i = j;
   }
-  RelaxedStore(table_[i], kNil);
-}
-
-void BlockStore::ReserveForConcurrentProbes(std::size_t max_blocks) {
-  // Single-threaded by contract (no concurrent readers yet / quiescent
-  // point), so plain rehashing and vector growth are fine here.
-  while ((max_blocks + 1) * 4 > table_.size() * 3) {
-    std::vector<std::uint32_t> old = std::move(table_);
-    table_.assign(old.size() * 2, kNil);
-    for (std::uint32_t s : old) {
-      if (s != kNil) TableInsert(s);
-    }
-  }
-  if (slots_.size() < max_blocks) {
-    const std::size_t old_size = slots_.size();
-    slots_.resize(max_blocks);
-    // Push the new slots in descending index order so AllocSlot pops them
-    // ascending — the same id order emplace_back would have produced.
-    for (std::size_t s = max_blocks; s-- > old_size;) {
-      slots_[s].next = free_head_;
-      free_head_ = static_cast<std::uint32_t>(s);
-    }
-  }
-  probe_safe_.store(true, std::memory_order_relaxed);
+  table_[i] = kNil;
 }
 
 // ---------------------------------------------------------- slot storage
@@ -154,11 +90,6 @@ std::uint32_t BlockStore::AllocSlot() {
     free_head_ = slots_[s].next;
     return s;
   }
-  // Same reasoning as GrowTableIfNeeded: growing the slot array would
-  // reallocate under any lock-free prober, so a probe-safe store must
-  // never exhaust its reserved free list.
-  OPUS_CHECK_MSG(!probe_safe_.load(std::memory_order_relaxed),
-                 "BlockStore outgrew its ReserveForConcurrentProbes bound");
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -332,7 +263,7 @@ bool BlockStore::Insert(BlockId block, std::uint64_t bytes) {
     if (!EvictOne()) return false;
   }
   const std::uint32_t slot = AllocSlot();
-  RelaxedStore(slots_[slot].block, block);
+  slots_[slot].block = block;
   slots_[slot].bytes = bytes;
   slots_[slot].pinned = false;
   GrowTableIfNeeded();

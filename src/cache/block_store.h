@@ -19,7 +19,6 @@
 // ReferenceBlockStore under any op sequence (property-tested).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,35 +47,6 @@ class BlockStore {
   bool Access(BlockId block);
 
   bool Contains(BlockId block) const;
-
-  // Side-effect-free residency probe: no policy touch, no mutation, and the
-  // table walk is bounded, so a torn view under a concurrent writer cannot
-  // loop. Unlike Contains, Probe is written to be called WITHOUT the owning
-  // shard lock, inside a ShardedStore seqlock snapshot/validate pair (see
-  // serve/sharded_store.h): every word it reads (table entries, slot block
-  // ids) is accessed through relaxed atomics, matching the writers below,
-  // so a racing read is a discarded value, never UB. Two preconditions:
-  //   1. ReserveForConcurrentProbes was called with a true bound, so the
-  //      table and slot arrays can never reallocate under a reader;
-  //   2. the caller validates the shard version afterwards and discards
-  //      the result on any writer overlap.
-  // Without a seqlock (single-threaded or under the shard lock) Probe is an
-  // ordinary cheap residency test.
-  bool Probe(BlockId block) const;
-
-  // Pre-sizes the hash table and slot array for at most `max_blocks`
-  // distinct resident blocks so neither ever reallocates again, then marks
-  // the store safe for lock-free Probe calls. Must be called from a single
-  // thread with no concurrent readers (e.g. between serving phases). The
-  // bound is a hard contract: exceeding it aborts (OPUS_CHECK) rather than
-  // silently racing a lock-free reader against a reallocation.
-  void ReserveForConcurrentProbes(std::size_t max_blocks);
-
-  // True once ReserveForConcurrentProbes has armed the store; optimistic
-  // callers must fall back to the locked path when false.
-  bool concurrent_probe_safe() const {
-    return probe_safe_.load(std::memory_order_relaxed);
-  }
 
   // Removes a block if present (also unpins it).
   void Erase(BlockId block);
@@ -165,9 +135,6 @@ class BlockStore {
   std::size_t num_blocks_ = 0;
   EvictionKind kind_;
   obs::Counter* eviction_counter_ = nullptr;  // borrowed, optional
-  // Armed by ReserveForConcurrentProbes; read by lock-free probers, so it
-  // must be atomic even though it only ever transitions false -> true.
-  std::atomic<bool> probe_safe_{false};
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNil;

@@ -20,9 +20,8 @@ ServingEngine::ServingEngine(cache::CacheCluster* cluster,
                                      static_cast<unsigned>(
                                          cluster->num_workers())))),
       telemetry_(config.telemetry), recorder_(config.recorder),
-      sample_every_(std::max<std::uint64_t>(1, config.telemetry_sample_every)),
-      sharded_(cluster->num_workers()),
-      optimistic_(config.optimistic_unmanaged) {
+      sample_every_(
+          std::max<std::uint64_t>(1, config.telemetry_sample_every)) {
   OPUS_CHECK(cluster_ != nullptr);
   // Span sampling keys off global emission order, which the concurrent
   // probe phase does not preserve — the replay-equivalence contract holds
@@ -43,13 +42,7 @@ ServingEngine::ServingEngine(cache::CacheCluster* cluster,
       file_worker_blocks_[f][w].push_back(idx);
     }
   }
-  worker_block_counts_.assign(workers, 0);
-  for (const auto& by_worker : file_worker_blocks_) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      worker_block_counts_[w] += by_worker[w].size();
-    }
-  }
-  pending_touches_.resize(workers);
+  stores_.assign(workers, nullptr);
   partials_.resize(threads_);
   worker_deltas_.assign(workers, WorkerDelta{});
 
@@ -59,10 +52,6 @@ ServingEngine::ServingEngine(cache::CacheCluster* cluster,
     drain_wall_ns_ = &telemetry_->histogram("serve.drain.wall_ns");
     realloc_wall_ns_ = &telemetry_->histogram("serve.realloc.wall_ns");
     batch_events_ = &telemetry_->histogram("serve.batch.events");
-    lock_wait_ns_ = &telemetry_->histogram("serve.shard.lock_wait_ns");
-    lock_hold_ns_ = &telemetry_->histogram("serve.shard.lock_hold_ns");
-    seq_retries_ = &telemetry_->histogram("serve.seqlock.retries");
-    seq_fallbacks_ = &telemetry_->histogram("serve.seqlock.fallbacks");
     const std::uint32_t users = cluster_->config().num_users;
     if (users <= kMaxPerUserHistograms) {
       user_read_ns_.reserve(users);
@@ -71,7 +60,6 @@ ServingEngine::ServingEngine(cache::CacheCluster* cluster,
             "serve.user." + std::to_string(u) + ".read_ns"));
       }
     }
-    thread_recorders_.resize(threads_);
   }
 }
 
@@ -92,15 +80,12 @@ void ServingEngine::ProbeChunk(
   if (begin >= end) return;
   const std::size_t chunk = end - begin;
   const std::size_t workers = cluster_->num_workers();
-  const bool optimistic = optimistic_ && !cluster_->managed();
-  // Re-attach every phase: FailWorker replaces the store object. For the
-  // optimistic path, arm each store for lock-free probes (idempotent once
-  // sized; a restarted worker's fresh store gets re-armed here).
+  // Fetched every phase: FailWorker replaces the store object. A dead
+  // worker has no store to touch, so every one of its blocks misses.
   for (std::size_t w = 0; w < workers; ++w) {
-    cache::BlockStore* store =
-        &cluster_->worker(static_cast<cache::WorkerId>(w)).store();
-    sharded_.Attach(w, store);
-    if (optimistic) store->ReserveForConcurrentProbes(worker_block_counts_[w]);
+    const auto id = static_cast<cache::WorkerId>(w);
+    stores_[w] =
+        cluster_->IsWorkerAlive(id) ? &cluster_->worker(id).store() : nullptr;
   }
   for (auto& slab : partials_) {
     slab.assign(chunk, EventPartial{});
@@ -110,12 +95,12 @@ void ServingEngine::ProbeChunk(
 
   // Thread t owns workers {w : w mod threads_ == t}; any pool thread may
   // claim any role index, but each role touches a disjoint shard set and
-  // writes only its own slab, so scheduling cannot affect the result.
+  // writes only its own slab, so scheduling cannot affect the result and
+  // no store needs a lock.
   const bool telemetry = telemetry_ != nullptr;
   const std::uint64_t sample_every = sample_every_;
   const auto body = [&](std::size_t t) {
     std::vector<EventPartial>& slab = partials_[t];
-    ThreadRecorder* rec = telemetry ? &thread_recorders_[t] : nullptr;
     for (std::size_t k = begin; k < end; ++k) {
       const workload::AccessEvent& ev = events[k];
       const cache::FileInfo& info = catalog.Get(ev.file);
@@ -127,141 +112,27 @@ void ServingEngine::ProbeChunk(
       const std::uint64_t probe_start = sampled ? obs::MonotonicNanos() : 0;
       const auto& by_worker = file_worker_blocks_[ev.file];
       for (std::size_t w = t; w < workers; w += threads_) {
-        const std::vector<std::uint32_t>& blocks = by_worker[w];
-        if (blocks.empty()) continue;
-        const bool alive =
-            cluster_->IsWorkerAlive(static_cast<cache::WorkerId>(w));
+        cache::BlockStore* store = stores_[w];
         WorkerDelta& delta = worker_deltas_[w];
-        if (!alive) {
-          // Dead shard: every block is a miss; no store to touch.
-          for (std::uint32_t idx : blocks) {
-            const std::uint64_t bytes = info.BlockBytes(idx);
+        // CacheCluster::Read's per-block body, so each shard receives the
+        // serial oracle's exact op sequence.
+        for (std::uint32_t idx : by_worker[w]) {
+          const cache::BlockId block = cache::MakeBlockId(ev.file, idx);
+          const std::uint64_t bytes = info.BlockBytes(idx);
+          if (store != nullptr && store->Access(block)) {
+            partial.mem += bytes;
+            ++delta.hits;
+            delta.hit_bytes += bytes;
+          } else {
             partial.disk += bytes;
             ++delta.misses;
             delta.miss_bytes += bytes;
-          }
-          continue;
-        }
-        if (managed) {
-          // Managed phases are read-mostly (policy-touch only; placement
-          // is pinned) and shard-affine — lock-free by ownership.
-          cache::BlockStore& store = sharded_.shard(w);
-          for (std::uint32_t idx : blocks) {
-            const std::uint64_t bytes = info.BlockBytes(idx);
-            if (store.Access(cache::MakeBlockId(ev.file, idx))) {
-              partial.mem += bytes;
-              ++delta.hits;
-              delta.hit_bytes += bytes;
-            } else {
-              partial.disk += bytes;
-              ++delta.misses;
-              delta.miss_bytes += bytes;
-            }
-          }
-        } else if (optimistic) {
-          // Optimistic cache-on-read: resident probes are lock-free
-          // (seqlock snapshot/validate) with the LRU/LFU touch deferred
-          // into the shard's pending list; only a miss (or a rare probe
-          // fallback) takes the shard WriteLock. Deferred touches flush in
-          // recorded order before the insert, so the store executes
-          // exactly the serial op sequence (see the file comment in
-          // engine.h for the replay-equivalence argument).
-          std::vector<cache::BlockId>& pending = pending_touches_[w];
-          std::uint64_t* retries = rec != nullptr ? &rec->seq_retries : nullptr;
-          for (std::uint32_t idx : blocks) {
-            const cache::BlockId block = cache::MakeBlockId(ev.file, idx);
-            const std::uint64_t bytes = info.BlockBytes(idx);
-            const ShardedStore::ProbeResult pr =
-                sharded_.TryProbe(w, block, retries);
-            if (pr == ShardedStore::ProbeResult::kHit) {
-              pending.push_back(block);
-              partial.mem += bytes;
-              ++delta.hits;
-              delta.hit_bytes += bytes;
-              continue;
-            }
-            if (pr == ShardedStore::ProbeResult::kFallback &&
-                rec != nullptr) {
-              ++rec->seq_fallbacks;
-            }
-            // Miss (or unresolved probe): resolve under the write lock.
-            // Sampled events still time the acquisition and held section,
-            // so lock_wait/lock_hold keep describing the contended path.
-            const std::uint64_t lock_start =
-                sampled ? obs::MonotonicNanos() : 0;
-            ShardedStore::WriteGuard guard = sharded_.WriteLock(w);
-            const std::uint64_t lock_held =
-                sampled ? obs::MonotonicNanos() : 0;
-            cache::BlockStore& store = sharded_.shard(w);
-            for (const cache::BlockId touched : pending) {
-              store.Access(touched);
-            }
-            pending.clear();
-            if (store.Access(block)) {
-              // Only reachable via fallback: a validated kMiss cannot be
-              // resident (this thread owns every mutation of this shard).
-              partial.mem += bytes;
-              ++delta.hits;
-              delta.hit_bytes += bytes;
-            } else {
-              partial.disk += bytes;
-              ++delta.misses;
-              delta.miss_bytes += bytes;
-              store.Insert(block, bytes);
-            }
-            if (sampled) {
-              const std::uint64_t released = obs::MonotonicNanos();
-              rec->lock_wait.Record(lock_held - lock_start);
-              rec->lock_hold.Record(released - lock_held);
-            }
-          }
-        } else {
-          // Mutex cache-on-read (optimistic_unmanaged = false): batch the
-          // event's ops for this shard under its write lock. Sampled
-          // events also time the acquisition (contention) and the held
-          // section.
-          const std::uint64_t lock_start =
-              sampled ? obs::MonotonicNanos() : 0;
-          ShardedStore::WriteGuard guard = sharded_.WriteLock(w);
-          const std::uint64_t lock_held =
-              sampled ? obs::MonotonicNanos() : 0;
-          cache::BlockStore& store = sharded_.shard(w);
-          for (std::uint32_t idx : blocks) {
-            const cache::BlockId block = cache::MakeBlockId(ev.file, idx);
-            const std::uint64_t bytes = info.BlockBytes(idx);
-            if (store.Access(block)) {
-              partial.mem += bytes;
-              ++delta.hits;
-              delta.hit_bytes += bytes;
-            } else {
-              partial.disk += bytes;
-              ++delta.misses;
-              delta.miss_bytes += bytes;
-              store.Insert(block, bytes);
-            }
-          }
-          if (sampled) {
-            const std::uint64_t released = obs::MonotonicNanos();
-            rec->lock_wait.Record(lock_held - lock_start);
-            rec->lock_hold.Record(released - lock_held);
+            // Cache-on-read: pull the block in, evicting per policy.
+            if (!managed && store != nullptr) store->Insert(block, bytes);
           }
         }
       }
       if (sampled) partial.nanos = obs::MonotonicNanos() - probe_start;
-    }
-    if (optimistic) {
-      // Phase-end flush: apply the tail of deferred touches so the next
-      // phase (or the drain's audit) sees fully caught-up policy state.
-      for (std::size_t w = t; w < workers; w += threads_) {
-        std::vector<cache::BlockId>& pending = pending_touches_[w];
-        if (pending.empty()) continue;
-        ShardedStore::WriteGuard guard = sharded_.WriteLock(w);
-        cache::BlockStore& store = sharded_.shard(w);
-        for (const cache::BlockId touched : pending) {
-          store.Access(touched);
-        }
-        pending.clear();
-      }
     }
   };
   if (threads_ == 1) {
@@ -312,24 +183,6 @@ void ServingEngine::DrainChunk(
     d = WorkerDelta{};
   }
   if (telemetry) {
-    std::uint64_t seq_retries = 0;
-    std::uint64_t seq_fallbacks = 0;
-    for (ThreadRecorder& rec : thread_recorders_) {
-      lock_wait_ns_->Merge(rec.lock_wait);
-      lock_hold_ns_->Merge(rec.lock_hold);
-      rec.lock_wait.Clear();
-      rec.lock_hold.Clear();
-      seq_retries += rec.seq_retries;
-      seq_fallbacks += rec.seq_fallbacks;
-      rec.seq_retries = 0;
-      rec.seq_fallbacks = 0;
-    }
-    if (optimistic_ && !managed) {
-      // Per-phase totals; an all-quiet phase records 0 on both, so the
-      // histogram count doubles as an optimistic-phase counter.
-      seq_retries_->Record(seq_retries);
-      seq_fallbacks_->Record(seq_fallbacks);
-    }
     batch_events_->Record(end - begin);
     const std::uint64_t drain_end = obs::MonotonicNanos();
     drain_wall_ns_->Record(drain_end - drain_start);

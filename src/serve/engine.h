@@ -17,30 +17,16 @@
 //    mutation happens between parallel phases, exactly where the oracle
 //    fires it.
 //
-//  - Shard affinity (the determinism boundary for data): during a phase,
-//    thread t owns workers {w : w mod T == t} and probes only their
-//    blocks. Each shard therefore sees its sub-stream of ops in pinned
-//    event order regardless of thread interleaving, which makes per-shard
-//    store evolution (hits, LRU/LFU state, evictions) deterministic and
-//    equal to the serial run's. Managed-mode phases touch only
-//    pinned-resident state and run lock-free under affinity; unmanaged
-//    (cache-on-read) phases default to the optimistic seqlock read path
-//    below and take the ShardedStore mutex only to mutate (misses/inserts)
-//    or on the explicit mutex path (optimistic_unmanaged = false).
-//
-//  - Optimistic unmanaged reads (the seqlock path): resident probes run
-//    lock-free — snapshot the shard's seqlock version, run the store's
-//    side-effect-free Probe(), validate the version (ShardedStore::
-//    TryProbe) — and the LRU/LFU touch the serial path would apply is
-//    deferred into a per-shard pending list. Replay equivalence survives
-//    because deferred touches are flushed, in recorded order and under the
-//    shard WriteLock, BEFORE any insert on that shard (and at phase end):
-//    since nothing else mutates the shard in between (affinity), the
-//    store's actual op sequence is exactly the serial one, so hits,
-//    eviction victims, and metrics stay byte-identical. A probe that
-//    cannot get a consistent snapshot falls back to the locked path —
-//    mandatory whenever the store is not armed for concurrent probes
-//    (ReserveForConcurrentProbes) or validation keeps failing.
+//  - Shard affinity (the determinism boundary for data, and the data
+//    plane's one concurrency rule): during a phase, thread t owns workers
+//    {w : w mod T == t} and is the only thread that touches their stores.
+//    Each shard therefore sees its sub-stream of ops in pinned event order
+//    regardless of thread interleaving, which makes per-shard store
+//    evolution (hits, LRU/LFU state, evictions) deterministic and equal to
+//    the serial run's. The probe runs CacheCluster::Read's per-block body
+//    — Access, plus Insert on an unmanaged miss — with no lock, in both
+//    modes; everything else that mutates a store (allocation, fail/recover,
+//    reconfiguration) runs between phases.
 //
 //  - Batched access stats (MPSC drain): per-access metric effects are not
 //    applied in the probe. Each thread accumulates per-event byte totals
@@ -55,11 +41,11 @@
 // equivalence bar: root-span sampling depends on global emission order, so
 // the engine requires span tracing disabled (span_sample_every = 0) and
 // the oracle run must match. Everything else is logical-clock based.
-// Runtime telemetry (PR 8) is the one deliberately wall-clock feature:
-// when EngineConfig::telemetry is set, probe threads time a deterministic
+// Runtime telemetry is the one deliberately wall-clock feature: when
+// EngineConfig::telemetry is set, probe threads time a deterministic
 // sample of events (event-index based, so every thread and every rerun
-// picks the same events) into per-thread recorders, and the single-threaded
-// drain merges them into the central RuntimeTelemetry — the same MPSC-at-
+// picks the same events) into their own slabs, and the single-threaded
+// drain records them into the central RuntimeTelemetry — the same MPSC-at-
 // the-boundary shape as the access stats. Nothing recorded there touches
 // the MetricsRegistry, so the byte-identity contract above is unaffected.
 #pragma once
@@ -70,7 +56,6 @@
 #include "cache/cluster.h"
 #include "obs/flight_recorder.h"
 #include "obs/latency.h"
-#include "serve/sharded_store.h"
 #include "sim/opus_master.h"
 #include "workload/trace.h"
 
@@ -89,11 +74,6 @@ struct EngineConfig {
   // the clock reads off the common path: the overhead budget is <2% and a
   // steady_clock read costs ~25ns against ~1us/event.
   std::uint64_t telemetry_sample_every = 16;
-  // Unmanaged phases use the lock-free seqlock probe path (see file
-  // comment). False forces every unmanaged probe under the shard mutex —
-  // the pre-optimistic behaviour, kept for A/B benchmarking
-  // (bench_serving_throughput) and `opus_daemon --mutex-reads`.
-  bool optimistic_unmanaged = true;
 };
 
 struct ServeStats {
@@ -144,17 +124,6 @@ class ServingEngine {
     std::uint64_t misses = 0;
     std::uint64_t miss_bytes = 0;
   };
-  // Per-probe-thread recorder slab: single writer during a phase, merged
-  // into the central telemetry by the (single-threaded) drain, then
-  // cleared — the recorders' quiescent point is the thread-pool join.
-  struct ThreadRecorder {
-    obs::LogLinearHistogram lock_wait;
-    obs::LogLinearHistogram lock_hold;
-    // Seqlock probe outcomes this phase (unsampled — cheap counters).
-    std::uint64_t seq_retries = 0;
-    std::uint64_t seq_fallbacks = 0;
-  };
-
   // Probes events [begin, end) across threads_ shard-affine threads,
   // filling partials_ and worker_deltas_. No metric/under-store effects.
   void ProbeChunk(const std::vector<workload::AccessEvent>& events,
@@ -185,29 +154,14 @@ class ServingEngine {
   obs::LogLinearHistogram* drain_wall_ns_ = nullptr;
   obs::LogLinearHistogram* realloc_wall_ns_ = nullptr;
   obs::LogLinearHistogram* batch_events_ = nullptr;
-  obs::LogLinearHistogram* lock_wait_ns_ = nullptr;
-  obs::LogLinearHistogram* lock_hold_ns_ = nullptr;
-  // Per-phase seqlock totals (distribution of retry/fallback counts per
-  // probe phase; all-zero phases record 0 so the count doubles as a phase
-  // counter). Valid iff telemetry_ != nullptr.
-  obs::LogLinearHistogram* seq_retries_ = nullptr;
-  obs::LogLinearHistogram* seq_fallbacks_ = nullptr;
   // Per-user read histograms, index = UserId (empty when the user count
   // exceeds kMaxPerUserHistograms — cardinality must stay bounded).
   std::vector<obs::LogLinearHistogram*> user_read_ns_;
-  std::vector<ThreadRecorder> thread_recorders_;  // [thread]; per phase
-  ShardedStore sharded_;
-  const bool optimistic_;
   // Per-(file, worker) block indices, precomputed so a probe thread walks
   // exactly its shards' blocks instead of filtering the whole file.
   std::vector<std::vector<std::vector<std::uint32_t>>> file_worker_blocks_;
-  // Catalog blocks placed on each worker — the exact upper bound on that
-  // shard's resident set, fed to ReserveForConcurrentProbes.
-  std::vector<std::size_t> worker_block_counts_;
-  // Deferred LRU/LFU touches per shard (optimistic unmanaged path).
-  // Written only by the shard's owning thread; flushed under the shard
-  // WriteLock before any insert and at phase end.
-  std::vector<std::vector<cache::BlockId>> pending_touches_;  // [worker]
+  // Each worker's store for the current phase (null = dead worker).
+  std::vector<cache::BlockStore*> stores_;  // [worker]
   std::vector<std::vector<EventPartial>> partials_;  // [thread][event-begin]
   std::vector<WorkerDelta> worker_deltas_;  // [worker]; single writer/phase
 };

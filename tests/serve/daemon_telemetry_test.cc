@@ -173,7 +173,9 @@ TEST(DaemonTelemetryTest, TinyP99ThresholdTripsOneAutomaticDump) {
     if (s.name != "daemon.anomaly") continue;
     saw_anomaly = true;
     for (const auto& [k, v] : s.attrs) {
-      if (k == "reason") EXPECT_EQ(v, "p99_threshold");
+      if (k == "reason") {
+        EXPECT_EQ(v, "p99_threshold");
+      }
     }
   }
   EXPECT_TRUE(saw_anomaly);

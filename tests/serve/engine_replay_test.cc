@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,28 +122,22 @@ TEST(EngineReplayTest, ManagedMatchesSerialOracleAtEveryThreadCount) {
 }
 
 TEST(EngineReplayTest, UnmanagedMatchesSerialOracle) {
-  // Cache-on-read: probe phases mutate the shards (inserts + evictions);
-  // per-shard op order is still pinned. Both read paths — the default
-  // optimistic seqlock protocol and the always-mutex baseline — must be
-  // byte-indistinguishable from the serial oracle at every thread count.
+  // Cache-on-read: probe phases mutate the shards (inserts + evictions)
+  // with no lock; per-shard op order is still pinned, so the result must
+  // be byte-indistinguishable from the serial oracle at every thread count.
   const std::vector<workload::AccessEvent> events = MakeEvents(500);
   cache::CacheCluster oracle(MakeClusterConfig(), MakeCatalog());
   ServeOracle(&oracle, nullptr, events);
   EXPECT_GT(oracle.total_evictions(), 0u);
 
-  for (const bool optimistic : {true, false}) {
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      cache::CacheCluster cluster(MakeClusterConfig(), MakeCatalog());
-      EngineConfig ecfg;
-      ecfg.threads = threads;
-      ecfg.optimistic_unmanaged = optimistic;
-      ServingEngine engine(&cluster, nullptr, ecfg);
-      engine.Serve(events);
-      ExpectIndistinguishable(
-          oracle, cluster,
-          std::string(optimistic ? "optimistic" : "mutex") +
-              " threads=" + std::to_string(threads));
-    }
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    cache::CacheCluster cluster(MakeClusterConfig(), MakeCatalog());
+    EngineConfig ecfg;
+    ecfg.threads = threads;
+    ServingEngine engine(&cluster, nullptr, ecfg);
+    engine.Serve(events);
+    ExpectIndistinguishable(oracle, cluster,
+                            "threads=" + std::to_string(threads));
   }
 }
 
@@ -151,66 +146,97 @@ TEST(EngineReplayTest, ServeRangeSlicesReplayLikeOneServe) {
   // ServeRange calls (batch boundaries land mid-chunk and mid-window).
   // Slicing must be invisible: same final state as a single Serve.
   const std::vector<workload::AccessEvent> events = MakeEvents(600);
-  Plant whole = MakeManagedPlant(37);
-  {
+  for (const unsigned threads : {1u, 2u, 4u}) {
     EngineConfig ecfg;
-    ecfg.threads = 4;
-    ServingEngine engine(whole.cluster.get(), whole.master.get(), ecfg);
-    engine.Serve(events);
-  }
+    ecfg.threads = threads;
+    Plant whole = MakeManagedPlant(37);
+    {
+      ServingEngine engine(whole.cluster.get(), whole.master.get(), ecfg);
+      engine.Serve(events);
+    }
 
-  Plant sliced = MakeManagedPlant(37);
-  EngineConfig ecfg;
-  ecfg.threads = 4;
-  ServingEngine engine(sliced.cluster.get(), sliced.master.get(), ecfg);
-  std::size_t served = 0;
-  // Ragged slice sizes, deliberately misaligned with update_interval=37.
-  for (std::size_t pos = 0; pos < events.size();) {
-    const std::size_t step = 1 + (pos * 7 + 13) % 96;
-    const std::size_t end = std::min(events.size(), pos + step);
-    const ServeStats stats = engine.ServeRange(events, pos, end);
-    served += stats.events;
-    pos = end;
+    Plant sliced = MakeManagedPlant(37);
+    ServingEngine engine(sliced.cluster.get(), sliced.master.get(), ecfg);
+    std::size_t served = 0;
+    // Ragged slice sizes, deliberately misaligned with update_interval=37.
+    for (std::size_t pos = 0; pos < events.size();) {
+      const std::size_t step = 1 + (pos * 7 + 13) % 96;
+      const std::size_t end = std::min(events.size(), pos + step);
+      const ServeStats stats = engine.ServeRange(events, pos, end);
+      served += stats.events;
+      pos = end;
+    }
+    const std::string label = "sliced threads=" + std::to_string(threads);
+    EXPECT_EQ(served, events.size()) << label;
+    ExpectIndistinguishable(*whole.cluster, *sliced.cluster, label);
+    EXPECT_EQ(sliced.master->audit_report().ToJson(),
+              whole.master->audit_report().ToJson())
+        << label;
   }
-  EXPECT_EQ(served, events.size());
-  ExpectIndistinguishable(*whole.cluster, *sliced.cluster, "sliced");
-  EXPECT_EQ(sliced.master->audit_report().ToJson(),
-            whole.master->audit_report().ToJson());
+}
+
+// Serves `events` in thirds through `serve`, with worker 1 failed during
+// the middle third: the fail/recover control-plane mutations land between
+// batches.
+template <typename ServeFn>
+void ServeAroundWorkerFailure(cache::CacheCluster* cluster,
+                              const std::vector<workload::AccessEvent>& events,
+                              ServeFn serve) {
+  const auto third = static_cast<std::ptrdiff_t>(events.size() / 3);
+  const auto at = [&](std::ptrdiff_t k) { return events.begin() + k * third; };
+  serve(std::vector<workload::AccessEvent>(at(0), at(1)));
+  cluster->FailWorker(1);
+  serve(std::vector<workload::AccessEvent>(at(1), at(2)));
+  cluster->RecoverWorker(1);
+  serve(std::vector<workload::AccessEvent>(at(2), events.end()));
 }
 
 TEST(EngineReplayTest, SurvivesWorkerFailureBetweenBatches) {
-  // Control-plane mutations (fail/recover) land between Serve calls; the
-  // engine re-attaches shards each phase, so the replaced store object and
-  // the dead-worker miss path must both replay exactly.
+  // The engine fetches each worker's store every phase, so the replaced
+  // store object and the dead-worker miss path must both replay exactly.
   const std::vector<workload::AccessEvent> events = MakeEvents(450);
-  const auto third = events.size() / 3;
-  const std::vector<workload::AccessEvent> a(events.begin(),
-                                             events.begin() + third);
-  const std::vector<workload::AccessEvent> b(events.begin() + third,
-                                             events.begin() + 2 * third);
-  const std::vector<workload::AccessEvent> c(events.begin() + 2 * third,
-                                             events.end());
-
   Plant oracle = MakeManagedPlant(37);
-  ServeOracle(oracle.cluster.get(), oracle.master.get(), a);
-  oracle.cluster->FailWorker(1);
-  ServeOracle(oracle.cluster.get(), oracle.master.get(), b);
-  oracle.cluster->RecoverWorker(1);
-  ServeOracle(oracle.cluster.get(), oracle.master.get(), c);
+  ServeAroundWorkerFailure(oracle.cluster.get(), events, [&](const auto& part) {
+    ServeOracle(oracle.cluster.get(), oracle.master.get(), part);
+  });
 
-  Plant plant = MakeManagedPlant(37);
-  EngineConfig ecfg;
-  ecfg.threads = 4;
-  ServingEngine engine(plant.cluster.get(), plant.master.get(), ecfg);
-  engine.Serve(a);
-  plant.cluster->FailWorker(1);
-  engine.Serve(b);
-  plant.cluster->RecoverWorker(1);
-  engine.Serve(c);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    Plant plant = MakeManagedPlant(37);
+    EngineConfig ecfg;
+    ecfg.threads = threads;
+    ServingEngine engine(plant.cluster.get(), plant.master.get(), ecfg);
+    ServeAroundWorkerFailure(plant.cluster.get(), events,
+                             [&](const auto& part) { engine.Serve(part); });
+    const std::string label =
+        "fail/recover threads=" + std::to_string(threads);
+    ExpectIndistinguishable(*oracle.cluster, *plant.cluster, label);
+    EXPECT_EQ(plant.master->audit_report().ToJson(),
+              oracle.master->audit_report().ToJson())
+        << label;
+  }
+}
 
-  ExpectIndistinguishable(*oracle.cluster, *plant.cluster, "fail/recover");
-  EXPECT_EQ(plant.master->audit_report().ToJson(),
-            oracle.master->audit_report().ToJson());
+TEST(EngineReplayTest, UnmanagedSurvivesWorkerFailureBetweenBatches) {
+  // Cache-on-read across a replaced store: the restarted worker comes back
+  // empty and refills through lock-free inserts on its fresh store object.
+  const std::vector<workload::AccessEvent> events = MakeEvents(450);
+  cache::CacheCluster oracle(MakeClusterConfig(), MakeCatalog());
+  ServeAroundWorkerFailure(&oracle, events, [&](const auto& part) {
+    ServeOracle(&oracle, nullptr, part);
+  });
+  EXPECT_GT(oracle.total_evictions(), 0u);
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    cache::CacheCluster cluster(MakeClusterConfig(), MakeCatalog());
+    EngineConfig ecfg;
+    ecfg.threads = threads;
+    ServingEngine engine(&cluster, nullptr, ecfg);
+    ServeAroundWorkerFailure(&cluster, events,
+                             [&](const auto& part) { engine.Serve(part); });
+    ExpectIndistinguishable(
+        oracle, cluster,
+        "unmanaged fail/recover threads=" + std::to_string(threads));
+  }
 }
 
 }  // namespace

@@ -54,8 +54,6 @@
 //                       read p99 exceeds F ms (default 0 = disarmed)
 //   --tcp-port N        also listen on TCP 127.0.0.1:N (0 = kernel-assigned;
 //                       default: Unix socket only)
-//   --mutex-reads       disable the optimistic seqlock read path: every
-//                       unmanaged probe takes the shard mutex (A/B baseline)
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -185,8 +183,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       config.tcp_port = static_cast<int>(u);
-    } else if (arg == "--mutex-reads") {
-      config.engine.optimistic_unmanaged = false;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg.c_str());
       return 2;
