@@ -41,7 +41,9 @@ int Main() {
   table.AddHeader({"sigma", "~window", "opus dU(max)", "opus drift",
                    "opus verdict flips", "fairride dU(max)"});
   // Each sigma row reseeds its own Rngs, so the rows are independent: run
-  // them on the shared pool and print in order.
+  // them on the shared pool and print in order. The rows share `problem`,
+  // so its lazily built CSR view is built here, before any thread reads it.
+  problem.PreferencesCsr();
   const double sigmas[] = {0.02, 0.05, 0.1, 0.2, 0.4, 0.8};
   constexpr std::size_t kRows = std::size(sigmas);
   std::pair<SensitivityResult, SensitivityResult> rows[kRows];

@@ -14,18 +14,16 @@
 // A second grid benchmarks incremental allocation windows (minority-drift
 // scenarios, N up to 10^4): window 0 primes an OpusWarmState, then window 1
 // — identical except for a drifted minority of users — is solved cold,
-// warm-started, in delta mode (only drifted users re-solved), and through
-// ROBUS-style user aggregation. Self-checks gate the run: warm and delta
-// results must agree with the cold solve (delta taxes within the reuse
-// tolerance), and the aggregated allocation must preserve every user's
-// isolation guarantee.
+// warm-started, and through ROBUS-style user aggregation. Self-checks gate
+// the run: warm results must agree with the cold solve, and the aggregated
+// allocation must preserve every user's isolation guarantee.
 //
 // A third grid benchmarks full allocation windows at scale (N up to 10^6
 // users, built directly in CSR — no dense N x M intermediate anywhere).
 // Each cell runs in a forked child so the parent can account its true peak
 // RSS (wait4 ru_maxrss); the child compares the PR-7-era fixed-cluster
 // config against the drift-adaptive auto-tuner (sticky re-clustering +
-// cluster-tax reuse + delta auto-off) and self-gates on (a) bit-identical
+// cluster-tax reuse + reuse auto-off) and self-gates on (a) bit-identical
 // results across tax thread counts, (b) per-user isolation, and (c)
 // agreement with a no-reuse oracle window.
 #include <sys/resource.h>
@@ -102,7 +100,7 @@ double MaxDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return d;
 }
 
-// --- incremental-window (delta / aggregation) grid ------------------------
+// --- incremental-window (warm / aggregation) grid -------------------------
 
 struct IncCell {
   std::size_t users = 0;
@@ -171,26 +169,15 @@ bool RunIncrementalGrid(FILE* out, bool smoke, int reps, unsigned threads) {
     cells.push_back({128, 128, 0.1, 0.1});
     cells.push_back({256, 128, 0.1, 0.1});
   } else {
-    // 1% drift: the delta path's home turf — nearly every tax is reused.
     cells.push_back({4096, 256, 0.05, 0.01});
-    // 10% drift: reuse thins out (neighborhood moves breach the gate for
-    // most stale users); aggregation carries the speedup instead.
     cells.push_back({4096, 256, 0.05, 0.1});
     cells.push_back({10000, 256, 0.05, 0.1});
   }
 
   // Warm windows re-solve the same problems and must match the cold solve
-  // to solver tolerance. Delta windows reuse stale users' taxes, which are
-  // approximate by design: the reuse gate bounds each reused user's
-  // neighborhood move to kDeltaUtilTol of its utility, and the resulting
-  // tax error lands within ~2x the gate across instances. Since
-  // |d blocking| <= |d tax| (taxes are log-utility units), kReusedTaxTol
-  // is a blocking-probability error budget of 10% on a drifting window.
-  // The allocation itself passes the full KKT gate and stays tight.
+  // to solver tolerance.
   constexpr double kAllocTol = 1e-5;
   constexpr double kExactTaxTol = 1e-6;
-  constexpr double kDeltaUtilTol = 0.05;  // reuse gate fed to the solver
-  constexpr double kReusedTaxTol = 2.0 * kDeltaUtilTol;
   constexpr double kIsolationTol = 1e-6;
 
   std::fprintf(out, "  \"incremental\": [\n");
@@ -226,17 +213,9 @@ bool RunIncrementalGrid(FILE* out, bool smoke, int reps, unsigned threads) {
       cold_ms = Percentile(ms, 0.5);
     }
 
-    // Warm: every solve warm-started, nothing composed or reused.
+    // Warm: every solve warm-started, nothing reused.
     const IncRun warm =
         RunIncrementalMode(base_options, window0, window1, reps);
-    // Delta: only drifted users re-solved. Blended rows sit at L1 distance
-    // ~1 from their old selves; unchanged rows at exactly 0, so any
-    // threshold in between separates them cleanly.
-    OpusOptions delta_options = base_options;
-    delta_options.delta.drift_threshold = 0.02;
-    delta_options.delta.utility_rel_tolerance = kDeltaUtilTol;
-    const IncRun delta =
-        RunIncrementalMode(delta_options, window0, window1, reps);
     // Aggregated: cluster users, solve at cluster granularity.
     OpusOptions agg_options = base_options;
     agg_options.aggregation.max_clusters =
@@ -250,23 +229,6 @@ bool RunIncrementalGrid(FILE* out, bool smoke, int reps, unsigned threads) {
     const bool warm_ok = warm.result.shared == cold.shared &&
                          warm_alloc_diff <= kAllocTol &&
                          warm_tax_diff <= kExactTaxTol;
-
-    const double delta_alloc_diff =
-        MaxDiff(delta.result.file_alloc, cold.file_alloc);
-    const double delta_tax_diff = MaxDiff(delta.result.taxes, cold.taxes);
-    // Reporting self-check: "delta_window" must mean the delta machinery
-    // actually ran this window (the resolve/reuse counters are live), never
-    // a stale false while taxes were being reused — and the warm run, which
-    // configures no drift threshold, must not claim a delta window.
-    const bool delta_flags_ok =
-        delta.result.solver_delta_window ==
-            (delta.result.solver_delta_resolved +
-                 delta.result.solver_delta_reused >
-             0) &&
-        !warm.result.solver_delta_window;
-    const bool delta_ok = delta.result.shared == cold.shared &&
-                          delta_alloc_diff <= kAllocTol &&
-                          delta_tax_diff <= kReusedTaxTol && delta_flags_ok;
 
     // Aggregation collapses the problem, so its allocation legitimately
     // differs from the cold one; the guarantee it must preserve is per-user
@@ -286,7 +248,7 @@ bool RunIncrementalGrid(FILE* out, bool smoke, int reps, unsigned threads) {
       agg_net_ratio = cold_sum > 0.0 ? net_sum / cold_sum : 1.0;
     }
 
-    all_ok = all_ok && warm_ok && delta_ok && agg_isolation_ok;
+    all_ok = all_ok && warm_ok && agg_isolation_ok;
     auto speedup = [&](double mode_ms) {
       return mode_ms > 0.0 ? cold_ms / mode_ms : 0.0;
     };
@@ -299,12 +261,6 @@ bool RunIncrementalGrid(FILE* out, bool smoke, int reps, unsigned threads) {
         "     \"warm\": {\"median_ms\": %.3f, \"speedup\": %.2f, "
         "\"warm_started\": %s, \"max_alloc_diff\": %.3e, "
         "\"max_tax_diff\": %.3e, \"agree\": %s},\n"
-        "     \"delta\": {\"median_ms\": %.3f, \"speedup\": %.2f, "
-        "\"delta_window\": %s, \"star_composed\": %s, "
-        "\"resolved\": %llu, \"reused\": %llu, "
-        "\"fallbacks\": %llu, \"flags_consistent\": %s, "
-        "\"max_alloc_diff\": %.3e, "
-        "\"max_tax_diff\": %.3e, \"agree\": %s},\n"
         "     \"agg\": {\"median_ms\": %.3f, \"speedup\": %.2f, "
         "\"clusters\": %llu, \"net_utility_ratio\": %.4f, "
         "\"isolation_ok\": %s}}%s\n",
@@ -312,31 +268,20 @@ bool RunIncrementalGrid(FILE* out, bool smoke, int reps, unsigned threads) {
         cold_ms, static_cast<unsigned long long>(cold.solver_solves),
         warm.median_ms, speedup(warm.median_ms),
         warm.result.solver_warm_started ? "true" : "false", warm_alloc_diff,
-        warm_tax_diff, warm_ok ? "true" : "false", delta.median_ms,
-        speedup(delta.median_ms),
-        delta.result.solver_delta_window ? "true" : "false",
-        delta.result.solver_delta_star_composed ? "true" : "false",
-        static_cast<unsigned long long>(delta.result.solver_delta_resolved),
-        static_cast<unsigned long long>(delta.result.solver_delta_reused),
-        static_cast<unsigned long long>(delta.result.solver_delta_fallbacks),
-        delta_flags_ok ? "true" : "false", delta_alloc_diff, delta_tax_diff,
-        delta_ok ? "true" : "false",
-        agg.median_ms, speedup(agg.median_ms),
+        warm_tax_diff, warm_ok ? "true" : "false", agg.median_ms,
+        speedup(agg.median_ms),
         static_cast<unsigned long long>(agg.result.solver_agg_clusters),
         agg_net_ratio, agg_isolation_ok ? "true" : "false",
         c + 1 < cells.size() ? "," : "");
     std::fprintf(
         stderr,
         "[inc %zu/%zu] N=%zu M=%zu drift=%.0f%%: cold %.1f ms, warm %.1f ms "
-        "(%.1fx), delta %.1f ms (%.1fx, %llu reused), agg %.1f ms (%.1fx, "
-        "%llu clusters) ok=%s\n",
+        "(%.1fx), agg %.1f ms (%.1fx, %llu clusters) ok=%s\n",
         c + 1, cells.size(), cell.users, cell.files,
         100.0 * cell.drift_fraction, cold_ms, warm.median_ms,
-        speedup(warm.median_ms), delta.median_ms, speedup(delta.median_ms),
-        static_cast<unsigned long long>(delta.result.solver_delta_reused),
-        agg.median_ms, speedup(agg.median_ms),
+        speedup(warm.median_ms), agg.median_ms, speedup(agg.median_ms),
         static_cast<unsigned long long>(agg.result.solver_agg_clusters),
-        warm_ok && delta_ok && agg_isolation_ok ? "yes" : "NO");
+        warm_ok && agg_isolation_ok ? "yes" : "NO");
   }
   std::fprintf(out, "  ],\n");
   return all_ok;
@@ -491,7 +436,7 @@ bool RunScaleCell(const ScaleCell& cell, unsigned threads, FILE* out) {
   }
 
   // Drift-adaptive auto-tuner: sticky re-clustering, cluster-tax reuse,
-  // delta auto-off once the drifted fraction breaches 5%.
+  // reuse auto-off once the drifted fraction breaches 5%.
   OpusOptions auto_options;
   auto_options.tax_threads = threads;
   auto_options.aggregation.auto_tune = true;

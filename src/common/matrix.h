@@ -302,9 +302,9 @@ class CsrMatrix {
 };
 
 // L1 distance between row `ia` of `a` and row `ib` of `b` (a two-pointer
-// merge over both rows' nonzeros). The delta-window drift signal compares
-// the current problem's rows against the warm state's without ever
-// materializing either matrix densely.
+// merge over both rows' nonzeros). The allocation window's drift signal
+// compares the current problem's rows against the warm state's without
+// ever materializing either matrix densely.
 inline double RowL1DistanceBetween(const CsrMatrix& a, std::size_t ia,
                                    const CsrMatrix& b, std::size_t ib) {
   const auto ac = a.row_cols(ia);

@@ -60,8 +60,8 @@ struct AggregationOptions {
   // The tuner also keeps the previous clustering sticky: non-drifted users
   // keep their cluster, only drifted/new users are re-assigned, and
   // clusters untouched by drift or membership changes can reuse their
-  // leave-one-member-out tax from the warm state (subject to the delta
-  // allocation-move gate).
+  // leave-one-member-out tax from the warm state (subject to the
+  // allocation-move gate of OpusDeltaOptions).
   bool auto_tune = false;
   std::size_t min_clusters = 64;
   double degrade_drift_fraction = 0.5;

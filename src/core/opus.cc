@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 
 #include "common/check.h"
@@ -23,59 +22,6 @@ double WallMs(SteadyClock::time_point begin, SteadyClock::time_point end) {
   return std::chrono::duration<double, std::milli>(end - begin).count();
 }
 
-// Compact per-solve record for the leave-one-out loop: everything
-// PfStats::Observe reads, nothing else. The old loop retained every
-// leave-one-out PfSolution (allocation + utilities) until after the
-// parallel region — O(N * (N + M)) doubles, which alone is terabytes at
-// N = 10^6 — solely to fold the stats in index order. This keeps the
-// deterministic in-order fold at O(1) memory per solve.
-struct LooStats {
-  int iterations = 0;
-  std::uint64_t projection_calls = 0;
-  std::uint64_t projection_warm_hits = 0;
-  std::uint64_t projection_exact = 0;
-  double residual = 0.0;
-  bool solved = false;  // false = no solve ran (reused tax / empty cluster)
-  bool warm_used = false;
-
-  static LooStats From(const PfSolution& s) {
-    LooStats out;
-    out.iterations = s.iterations;
-    out.projection_calls = s.projection_calls;
-    out.projection_warm_hits = s.projection_warm_hits;
-    out.projection_exact = s.projection_exact;
-    out.residual = s.residual;
-    out.solved = true;
-    out.warm_used = s.warm_start_used;
-    return out;
-  }
-
-  // Mirrors PfStats::Observe field for field.
-  void FoldInto(PfStats* stats) const {
-    if (!solved) return;
-    ++stats->solves;
-    stats->iterations += static_cast<std::uint64_t>(iterations);
-    stats->projection_calls += projection_calls;
-    stats->projection_warm_hits += projection_warm_hits;
-    stats->projection_exact += projection_exact;
-    stats->warm_started_solves += warm_used ? 1 : 0;
-    stats->max_residual = std::max(stats->max_residual, residual);
-  }
-};
-
-// Per-user L1 drift between the problem's rows and the warm state's,
-// walking CSR nonzeros only. Each index writes its own slot, so the
-// parallel run is byte-identical to the serial one.
-std::vector<double> RowDriftsCsr(const CsrMatrix& now, const CsrMatrix& then,
-                                 unsigned threads) {
-  std::vector<double> drift(now.rows(), 0.0);
-  ThreadPool::Shared().ParallelFor(
-      now.rows(),
-      [&](std::size_t i) { drift[i] = RowL1DistanceBetween(now, i, then, i); },
-      threads == 0 ? 1 : threads);
-  return drift;
-}
-
 // Warm-state problem key over the non-matrix inputs: O(N + M) hashing
 // instead of retaining and comparing full copies of file sizes and weights.
 std::uint64_t ProblemShapeKey(const CachingProblem& problem,
@@ -83,86 +29,9 @@ std::uint64_t ProblemShapeKey(const CachingProblem& problem,
   return HashDoubles(priorities, HashDoubles(problem.file_sizes));
 }
 
-// Solves the PF problem restricted to the columns marked in `in_r`
-// (`count` of them), freezing every other column at `base`: frozen columns
-// pin their capacity share and contribute to every user's utility through
-// per-user offsets, so the restricted optimum composes with `base` into a
-// candidate for the full problem. The returned solution is full-length and
-// carries the FULL problem's KKT residual in `residual`; the caller
-// applies its own acceptance gate. Shared by the restricted leave-one-out
-// tax fast path and the delta-window star solve.
-PfSolution SolveComposedRestricted(const CsrMatrix& csr,
-                                   const CachingProblem& problem,
-                                   const PfOptions& pf_options,
-                                   std::span<const double> weights,
-                                   const std::vector<double>& base,
-                                   const std::vector<char>& in_r,
-                                   std::size_t count) {
-  const std::size_t m = csr.cols();
-  const std::vector<double>& sizes = problem.file_sizes;
-  auto size_of = [&](std::size_t j) {
-    return sizes.empty() ? 1.0 : sizes[j];
-  };
-
-  PfSolution sol;
-  if (count == 0) {
-    // Nothing to re-optimize: the candidate is `base` itself.
-    sol.allocation = base;
-    CsrUtilities(csr, sol.allocation, sol.utilities);
-    sol.warm_start_used = true;
-  } else {
-    std::vector<std::size_t> restricted;
-    restricted.reserve(count);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (in_r[j]) restricted.push_back(j);
-    }
-    const CsrMatrix sub = csr.ColumnSubset(restricted);
-
-    // Frozen columns: capacity they pin and utility they contribute.
-    double frozen_mass = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (!in_r[j]) frozen_mass += size_of(j) * base[j];
-    }
-    const double sub_capacity = std::max(0.0, problem.capacity - frozen_mass);
-    std::vector<double> offsets(csr.rows(), 0.0);
-    for (std::size_t k = 0; k < csr.rows(); ++k) {
-      const auto cols = csr.row_cols(k);
-      const auto vals = csr.row_vals(k);
-      double off = 0.0;
-      for (std::size_t t = 0; t < cols.size(); ++t) {
-        if (!in_r[cols[t]]) off += vals[t] * base[cols[t]];
-      }
-      offsets[k] = off;
-    }
-
-    std::vector<double> warm(restricted.size());
-    std::vector<double> sub_sizes;
-    if (!sizes.empty()) sub_sizes.resize(restricted.size());
-    for (std::size_t r = 0; r < restricted.size(); ++r) {
-      warm[r] = base[restricted[r]];
-      if (!sizes.empty()) sub_sizes[r] = sizes[restricted[r]];
-    }
-
-    sol = SolveProportionalFairnessCsr(sub, sub_capacity, pf_options, weights,
-                                       warm, sub_sizes, offsets);
-
-    // Compose back to full length; restricted utilities already include the
-    // frozen columns through the offsets, so they are the full utilities.
-    std::vector<double> full_alloc = base;
-    for (std::size_t r = 0; r < restricted.size(); ++r) {
-      full_alloc[restricted[r]] = sol.allocation[r];
-    }
-    sol.allocation = std::move(full_alloc);
-  }
-
-  sol.residual = PfOptimalityResidualCsr(csr, problem.capacity,
-                                         sol.allocation, weights, sizes);
-  return sol;
-}
-
-// Shared inputs of the N leave-one-out tax solves (all read-only once the
-// parallel loop starts, so the solves stay bit-identical at any thread
-// count).
+// Shared inputs of the restricted leave-one-out fast path (read-only once
+// the parallel tax loop starts, so the solves stay bit-identical at any
+// thread count).
 struct TaxContext {
   const CachingProblem* problem = nullptr;
   const CsrMatrix* csr = nullptr;  // null when the dense engine is in use
@@ -179,11 +48,14 @@ struct TaxContext {
 
 // Leave-one-out solve restricted to columns R = support(i) ∪ interior(a*)
 // ∪ (leading zero files by gradient order, enough to absorb ~2x the
-// capacity user i's support releases). Every other column is frozen at its
-// star value via SolveComposedRestricted. Returns the composed full-length
-// solution when the full-problem KKT residual confirms it; nullopt when
-// the restriction was skipped (R too large) or missed tolerance
-// (`attempt_cost` then carries the wasted work for accounting).
+// capacity row i's support releases). Every other column is frozen at its
+// star value: frozen columns pin their capacity share and contribute to
+// every row's utility through per-row offsets, so the restricted optimum
+// composes with a* into a candidate for the full problem. Returns the
+// composed full-length solution when the full problem's KKT residual
+// confirms it; nullopt when the restriction was skipped (R too large) or
+// missed tolerance (`attempt_cost` then carries the wasted work for
+// accounting).
 std::optional<PfSolution> RestrictedLeaveOneOut(
     const TaxContext& ctx, std::size_t i, std::span<const double> loo_weights,
     bool* attempted, PfSolution* attempt_cost) {
@@ -198,16 +70,13 @@ std::optional<PfSolution> RestrictedLeaveOneOut(
 
   std::vector<char> in_r(m, 0);
   std::size_t count = 0;
-  double freed = 0.0;  // capacity user i's support holds at a*
-  {
-    const auto cols = csr.row_cols(i);
-    for (std::uint32_t c : cols) {
-      if (!in_r[c]) {
-        in_r[c] = 1;
-        ++count;
-      }
-      freed += size_of(c) * a_star[c];
+  double freed = 0.0;  // capacity row i's support holds at a*
+  for (std::uint32_t c : csr.row_cols(i)) {
+    if (!in_r[c]) {
+      in_r[c] = 1;
+      ++count;
     }
+    freed += size_of(c) * a_star[c];
   }
   for (std::size_t j : ctx.interior_files) {
     if (!in_r[j]) {
@@ -225,16 +94,420 @@ std::optional<PfSolution> RestrictedLeaveOneOut(
   }
   // A restriction covering most columns saves nothing over the full solve.
   if (count * 4 >= m * 3) return std::nullopt;
-
   *attempted = true;
-  PfSolution sol = SolveComposedRestricted(csr, *ctx.problem, ctx.pf_options,
-                                           loo_weights, a_star, in_r, count);
+
+  std::vector<std::size_t> restricted;
+  restricted.reserve(count);
+  for (std::size_t j = 0; j < m; ++j) {
+    if (in_r[j]) restricted.push_back(j);
+  }
+  const CsrMatrix sub = csr.ColumnSubset(restricted);
+
+  // Frozen columns: capacity they pin and utility they contribute.
+  double frozen_mass = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (!in_r[j]) frozen_mass += size_of(j) * a_star[j];
+  }
+  const double sub_capacity =
+      std::max(0.0, ctx.problem->capacity - frozen_mass);
+  std::vector<double> offsets(csr.rows(), 0.0);
+  for (std::size_t k = 0; k < csr.rows(); ++k) {
+    const auto cols = csr.row_cols(k);
+    const auto vals = csr.row_vals(k);
+    double off = 0.0;
+    for (std::size_t t = 0; t < cols.size(); ++t) {
+      if (!in_r[cols[t]]) off += vals[t] * a_star[cols[t]];
+    }
+    offsets[k] = off;
+  }
+
+  std::vector<double> warm(restricted.size());
+  std::vector<double> sub_sizes;
+  if (!sizes.empty()) sub_sizes.resize(restricted.size());
+  for (std::size_t r = 0; r < restricted.size(); ++r) {
+    warm[r] = a_star[restricted[r]];
+    if (!sizes.empty()) sub_sizes[r] = sizes[restricted[r]];
+  }
+
+  PfSolution sol =
+      SolveProportionalFairnessCsr(sub, sub_capacity, ctx.pf_options,
+                                   loo_weights, warm, sub_sizes, offsets);
+
+  // Compose back to full length; restricted utilities already include the
+  // frozen columns through the offsets, so they are the full utilities.
+  std::vector<double> full_alloc = a_star;
+  for (std::size_t r = 0; r < restricted.size(); ++r) {
+    full_alloc[restricted[r]] = sol.allocation[r];
+  }
+  sol.allocation = std::move(full_alloc);
+  sol.residual = PfOptimalityResidualCsr(csr, ctx.problem->capacity,
+                                         sol.allocation, loo_weights, sizes);
   if (!(sol.residual < ctx.pf_options.tolerance * 10.0)) {
     *attempt_cost = std::move(sol);
     return std::nullopt;
   }
   sol.converged = true;
   return sol;
+}
+
+// --- The allocation-window pipeline ----------------------------------------
+//
+// Every window is Algorithm 1 over the rows of a partition of the users:
+// drift -> partition -> star -> taxes -> disaggregate and stage 2 ->
+// refresh. Per-user windows solve the identity partition (one row per
+// user); aggregated windows solve one row per cluster of similar users
+// (ROBUS), of which the identity partition is the finest case.
+
+// Phase 1 output: per-user L1 drift against the warm state's rows, and the
+// share of mechanism users whose drift passes the threshold.
+struct Drift {
+  std::vector<double> per_user;
+  double fraction = 0.0;
+};
+
+// Walks CSR nonzeros only. Each user writes its own slot, so the parallel
+// run is byte-identical to the serial one.
+Drift MeasureDrift(const CsrMatrix& now, const CsrMatrix& then,
+                   double threshold, unsigned threads) {
+  Drift out;
+  out.per_user.assign(now.rows(), 0.0);
+  ThreadPool::Shared().ParallelFor(
+      now.rows(),
+      [&](std::size_t i) {
+        out.per_user[i] = RowL1DistanceBetween(now, i, then, i);
+      },
+      threads);
+  std::size_t mechanism = 0;
+  std::size_t drifted = 0;
+  for (std::size_t i = 0; i < now.rows(); ++i) {
+    if (now.row_sum(i) > 0.0 || then.row_sum(i) > 0.0) ++mechanism;
+    if (out.per_user[i] > threshold) ++drifted;
+  }
+  out.fraction = mechanism == 0 ? 0.0
+                                : static_cast<double>(drifted) /
+                                      static_cast<double>(mechanism);
+  return out;
+}
+
+// Phase 2 output: the rows Algorithm 1 runs over. The identity partition
+// borrows the problem's own CSR and priorities; a user clustering owns its
+// K-row aggregate problem (so a Partition is filled in place, never moved:
+// `problem` may point at `aggregate`).
+struct Partition {
+  const CachingProblem* problem = nullptr;
+  const CsrMatrix* csr = nullptr;   // null when the dense engine is in use
+  std::span<const double> weights;  // [row] objective weight; empty = ones
+  // Clustered partitions only (empty for the identity partition):
+  UserClustering clustering;
+  CachingProblem aggregate;
+  std::vector<double> members;  // [cluster] member count
+  std::vector<char> dirty;      // [cluster] members or a member row changed
+  bool sticky = false;
+
+  bool clustered() const { return clustering.num_clusters > 0; }
+  double weight(std::size_t c) const {
+    return weights.empty() ? 1.0 : weights[c];
+  }
+  double members_of(std::size_t c) const {
+    return members.empty() ? 1.0 : members[c];
+  }
+};
+
+// One PF solve over the partition's rows at `weights`, on the CSR engine
+// or, with `use_dense_solver`, the dense reference engine.
+PfSolution SolveRows(const Partition& part, const PfOptions& pf_options,
+                     std::span<const double> weights,
+                     std::span<const double> warm) {
+  const CachingProblem& p = *part.problem;
+  return part.csr != nullptr
+             ? SolveProportionalFairnessCsr(*part.csr, p.capacity, pf_options,
+                                            weights, warm, p.file_sizes)
+             : SolveProportionalFairness(p.preferences, p.capacity,
+                                         pf_options, weights, warm,
+                                         p.file_sizes);
+}
+
+// Phase 2. Clusters the users when `aggregate` is set; the identity
+// partition stays when it is not, when the auto-tuner degrades the window
+// (budget 0), and when no user has a non-empty row. `warm` is the
+// compatible warm state, null for a cold window.
+void PartitionUsers(const CachingProblem& problem, const CsrMatrix* csr,
+                    std::span<const double> priorities,
+                    const OpusOptions& options, bool aggregate,
+                    const OpusWarmState* warm, const Drift& drift,
+                    Partition* out) {
+  out->problem = &problem;
+  out->csr = csr;
+  out->weights = priorities;
+  if (!aggregate) return;
+  const std::size_t n = problem.num_users();
+  const std::size_t budget = ChooseClusterBudget(
+      options.aggregation, n, warm != nullptr ? drift.fraction : -1.0);
+  // Auto-tuner degrade: drift crossed degrade_drift_fraction, so cluster
+  // approximations stop paying for themselves. The window runs per user,
+  // warm-started from the same user-granularity state.
+  if (budget == 0) return;
+
+  // Sticky against the previous window when auto-tuning and the warm
+  // clustering is compatible (and the tuner did not shrink the budget to
+  // under half the surviving cluster count — then a fresh coarse
+  // clustering beats dragging a fine one along); fresh greedy pass
+  // otherwise.
+  const std::size_t prev_k = warm != nullptr ? warm->leader_of.size() : 0;
+  const bool leaders_valid =
+      prev_k > 0 && warm->cluster_of.size() == n &&
+      warm->cluster_taxes.size() == prev_k &&
+      std::all_of(warm->leader_of.begin(), warm->leader_of.end(),
+                  [n](std::uint32_t leader) { return leader < n; });
+  const bool sticky = options.aggregation.auto_tune && leaders_valid &&
+                      budget * 2 >= prev_k;
+  UserClustering clustering;
+  if (sticky) {
+    clustering = StickyReclusterByPreference(
+        problem, options.aggregation, priorities, warm->cluster_of,
+        warm->leader_of, drift.per_user, options.delta.drift_threshold,
+        budget, &out->dirty);
+  } else {
+    AggregationOptions fresh = options.aggregation;
+    fresh.max_clusters = budget;
+    clustering = ClusterUsersByPreference(problem, fresh, priorities);
+  }
+  if (clustering.num_clusters == 0) return;
+  out->aggregate = BuildAggregateProblem(problem, clustering);
+  out->members.assign(clustering.num_clusters, 0.0);
+  for (const std::uint32_t c : clustering.cluster_of) {
+    if (c != kUnclustered) out->members[c] += 1.0;
+  }
+  out->clustering = std::move(clustering);
+  out->problem = &out->aggregate;
+  out->csr = &out->aggregate.PreferencesCsr();
+  out->weights = out->clustering.cluster_weight;
+  out->sticky = sticky;
+}
+
+// Cluster-tax reuse (sticky windows): a cluster untouched by drift or
+// membership changes whose row saw only a tiny allocation move keeps its
+// previous tax. The move is UNSIGNED, sum_j p_cj |a*new_j - a*old_j|:
+// opposite-sign moves across a row's support cancel in its utility while
+// still reshaping its leave-one-member-out landscape. Approximate by
+// design; the per-window FairnessAuditor re-checks the guarantees on the
+// applied allocation.
+std::vector<char> ReusableRows(const Partition& part, const PfSolution& star,
+                               const OpusWarmState& warm, double tolerance) {
+  const CsrMatrix& csr = *part.csr;
+  std::vector<char> reuse(csr.rows(), 0);
+  for (std::size_t c = 0; c < csr.rows() && c < warm.cluster_taxes.size();
+       ++c) {
+    if (part.dirty[c]) continue;
+    const auto cols = csr.row_cols(c);
+    const auto vals = csr.row_vals(c);
+    double moved = 0.0;
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      moved += vals[k] * std::fabs(star.allocation[cols[k]] -
+                                   warm.star_allocation[cols[k]]);
+    }
+    if (moved > tolerance * std::max(star.utilities[c], 1e-12)) continue;
+    reuse[c] = 1;
+  }
+  return reuse;
+}
+
+// Phase 4: the Clarke pivot tax of one departing member of every row. Row
+// c's weight drops by its mean member weight. A user row drops to exactly
+// 0, which is the paper's leave-one-out solve and opens the restricted
+// fast path and the zero-row shortcut. A cluster keeps its other members
+// at the remaining weight: the individual Clarke pivot under the
+// approximation that the member's preferences equal its cluster's
+// (removing the whole cluster would price the coalition's externality and
+// over-tax every member about member_count-fold). Rows flagged in `reuse`
+// keep `prev_taxes[c]`.
+//
+// The solves are independent; with `tax_threads` > 1 they run through the
+// shared pool, each participating thread owning one pre-sized scratch slab
+// (weights + log buffer) via its ParallelForSlot slot id — no per-index
+// allocation. Taxes and per-row solve stats (never the solutions: those
+// would be O(rows * (rows + M)) doubles) land in index-addressed slots and
+// are merged into `stats` in order, so the outcome is bit-identical to the
+// serial run at any thread count.
+std::vector<double> SolveRowTaxes(const Partition& part,
+                                  const PfSolution& star,
+                                  const PfOptions& pf_options,
+                                  bool restricted, unsigned tax_threads,
+                                  std::span<const char> reuse,
+                                  std::span<const double> prev_taxes,
+                                  PfStats* stats) {
+  const CachingProblem& problem = *part.problem;
+  const CsrMatrix* csr = part.csr;
+  const std::size_t rows = problem.num_users();
+  const std::size_t m = problem.num_files();
+  const unsigned threads =
+      tax_threads > 1
+          ? std::min<unsigned>(tax_threads, static_cast<unsigned>(rows))
+          : 1;
+
+  // Which rows participate in the mechanism (non-empty preference row).
+  std::vector<char> row_active(rows, 0);
+  for (std::size_t c = 0; c < rows; ++c) {
+    double row_sum = 0.0;
+    if (csr != nullptr) {
+      row_sum = csr->row_sum(c);
+    } else {
+      for (double p : problem.preferences.row(c)) row_sum += p;
+    }
+    row_active[c] = row_sum > 0.0 ? 1 : 0;
+  }
+
+  // Shared read-only context for the solves, including the star-allocation
+  // structure the restricted fast path partitions on.
+  TaxContext ctx;
+  ctx.problem = &problem;
+  ctx.csr = csr;
+  ctx.star = &star;
+  ctx.pf_options = pf_options;
+  ctx.restricted = csr != nullptr && restricted;
+  if (ctx.restricted) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (star.allocation[j] > 0.0 && star.allocation[j] < 1.0) {
+        ctx.interior_files.push_back(j);
+      }
+    }
+    // Gradient of the full objective at a*: zero files with the steepest
+    // gradient are the ones freed capacity recruits first. For files
+    // outside row c's support this full gradient equals the others'
+    // gradient exactly (row c contributes nothing there), and support
+    // files are always in R, so one global descending order serves every
+    // solve.
+    std::vector<double> g_full(m, 0.0);
+    for (std::size_t c = 0; c < rows; ++c) {
+      if (!row_active[c]) continue;
+      const double u = star.utilities[c];
+      if (u <= 0.0) continue;
+      const double scale = part.weight(c) / u;
+      const auto cols = csr->row_cols(c);
+      const auto vals = csr->row_vals(c);
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        g_full[cols[k]] += scale * vals[k];
+      }
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (star.allocation[j] <= 0.0) ctx.zero_order.push_back(j);
+    }
+    std::sort(ctx.zero_order.begin(), ctx.zero_order.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (g_full[a] != g_full[b]) return g_full[a] > g_full[b];
+                return a < b;  // deterministic tie-break
+              });
+  }
+
+  // Virtual welfare at the star point, precomputed once: each active row's
+  // log term and their Kahan total, so the welfare at star with row c
+  // reweighted is an O(1) update instead of an O(rows) re-sum per solve
+  // (an O(N^2) term all by itself at million-user scale).
+  std::vector<double> star_logs(rows, 0.0);
+  double star_log_total = 0.0;
+  {
+    std::vector<double> terms;
+    terms.reserve(rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+      if (!row_active[k] || part.weight(k) <= 0.0) continue;
+      if (star.utilities[k] <= 0.0) continue;
+      star_logs[k] = part.weight(k) * std::log(star.utilities[k]);
+      terms.push_back(star_logs[k]);
+    }
+    star_log_total = KahanSum(terms);
+  }
+
+  std::vector<double> taxes(rows, 0.0);
+  std::vector<PfStats> row_stats(rows);
+  struct TaxScratch {
+    std::vector<double> weights;  // row weights copy; [c] saved/restored
+    std::vector<double> logs;     // welfare accumulation buffer
+  };
+  std::vector<TaxScratch> scratch(
+      ThreadPool::Shared().SlotBound(rows, threads));
+  auto tax_for = [&](std::size_t c, std::size_t slot) {
+    if (part.members_of(c) <= 0.0) return;  // emptied-out sticky cluster
+    if (!reuse.empty() && reuse[c]) {
+      taxes[c] = std::max(0.0, prev_taxes[c]);
+      return;
+    }
+    TaxScratch& s = scratch[slot];
+    if (s.weights.size() != rows) {
+      s.weights.assign(rows, 1.0);
+      std::copy(part.weights.begin(), part.weights.end(), s.weights.begin());
+      s.logs.reserve(rows);
+    }
+    std::vector<double>& weights = s.weights;
+    const double saved = weights[c];
+    const double kept = std::max(0.0, saved - saved / part.members_of(c));
+    weights[c] = kept;
+    PfSolution without;
+    if (kept <= 0.0 && csr != nullptr && !row_active[c]) {
+      // Row c never entered the objective, so the leave-one-out problem
+      // *is* the star problem: reuse its solution at zero marginal cost.
+      without.allocation = star.allocation;
+      without.utilities = star.utilities;
+      without.objective = star.objective;
+      without.residual = star.residual;
+      without.converged = star.converged;
+    } else {
+      bool attempted = false;
+      std::optional<PfSolution> fast;
+      PfSolution attempt_cost;
+      if (kept <= 0.0 && ctx.restricted) {
+        fast = RestrictedLeaveOneOut(ctx, c, weights, &attempted,
+                                     &attempt_cost);
+      }
+      if (fast.has_value()) {
+        without = std::move(*fast);
+        row_stats[c].restricted_solves = 1;
+      } else {
+        if (attempted) row_stats[c].restricted_fallbacks = 1;
+        // Full solve, warm-started from the best available point: the
+        // failed restricted composition when there is one, else a*.
+        std::span<const double> warm =
+            attempted ? std::span<const double>(attempt_cost.allocation)
+                      : std::span<const double>(star.allocation);
+        without = SolveRows(part, pf_options, weights, warm);
+        if (attempted) {
+          // Fold the wasted restricted attempt into this tax's accounting.
+          without.iterations += attempt_cost.iterations;
+          without.projection_calls += attempt_cost.projection_calls;
+          without.projection_warm_hits += attempt_cost.projection_warm_hits;
+          without.projection_exact += attempt_cost.projection_exact;
+        }
+      }
+    }
+
+    s.logs.clear();
+    for (std::size_t k = 0; k < rows; ++k) {
+      if (weights[k] <= 0.0 || !row_active[k]) continue;
+      // At a PF optimum with positive capacity every row with a non-zero
+      // preference row has strictly positive utility; utility can be zero
+      // only in the degenerate capacity-0 / no-files instances, where it is
+      // zero in both the full and the leave-one-out solution and cancels
+      // out of the tax — skip symmetrically with the star-side terms.
+      if (without.utilities[k] <= 0.0) continue;
+      s.logs.push_back(weights[k] * std::log(without.utilities[k]));
+    }
+    weights[c] = saved;
+    const double welfare_without = KahanSum(s.logs);
+    double welfare_at_star = star_log_total - star_logs[c];
+    if (kept > 0.0 && row_active[c] && star.utilities[c] > 0.0) {
+      welfare_at_star += kept * std::log(star.utilities[c]);
+    }
+    // The pivot tax is non-negative by optimality of the leave-one-out
+    // solution; clamp away solver residual noise.
+    taxes[c] = std::max(0.0, welfare_without - welfare_at_star);
+    row_stats[c].Observe(without);
+  };
+  if (threads <= 1) {
+    for (std::size_t c = 0; c < rows; ++c) tax_for(c, 0);
+  } else {
+    ThreadPool::Shared().ParallelForSlot(rows, tax_for, threads);
+  }
+  for (const PfStats& s : row_stats) stats->Merge(s);
+  return taxes;
 }
 
 }  // namespace
@@ -247,14 +520,9 @@ void OpusWarmState::Invalidate() {
   // swap-with-empty releases capacity immediately: the purge path must not
   // keep a dead million-user state's buffers resident.
   std::vector<double>().swap(star_allocation);
-  std::vector<double>().swap(star_utilities);
-  std::vector<double>().swap(taxes);
   std::vector<std::uint32_t>().swap(cluster_of);
   std::vector<std::uint32_t>().swap(leader_of);
-  std::vector<double>().swap(cluster_weight);
   std::vector<double>().swap(cluster_taxes);
-  std::vector<double>().swap(cluster_utilities);
-  drift_fraction = 0.0;
   windows = 0;
   tombstoned_nnz_ = 0;
 }
@@ -262,8 +530,6 @@ void OpusWarmState::Invalidate() {
 void OpusWarmState::ForgetUser(std::size_t user) {
   if (!valid || user >= preferences.rows()) return;
   tombstoned_nnz_ += preferences.ZeroRow(user);
-  if (user < taxes.size()) taxes[user] = 0.0;
-  if (user < star_utilities.size()) star_utilities[user] = 0.0;
   // Compact once tombstones hold a quarter of the stored entries (and are
   // worth the pass at all): mass dropuser churn returns the state to O(live
   // nnz) instead of leaving dead rows resident until the next full refresh.
@@ -276,9 +542,7 @@ void OpusWarmState::ForgetUser(std::size_t user) {
 std::size_t OpusWarmState::MemoryBytes() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return preferences.MemoryBytes() + bytes(star_allocation) +
-         bytes(star_utilities) + bytes(taxes) + bytes(cluster_of) +
-         bytes(leader_of) + bytes(cluster_weight) + bytes(cluster_taxes) +
-         bytes(cluster_utilities);
+         bytes(cluster_of) + bytes(leader_of) + bytes(cluster_taxes);
 }
 
 AllocationResult OpusAllocator::Allocate(const CachingProblem& problem) const {
@@ -293,27 +557,6 @@ AllocationResult OpusAllocator::AllocateWithDiagnostics(
 AllocationResult OpusAllocator::AllocateIncremental(
     const CachingProblem& problem, OpusWarmState* state,
     OpusDiagnostics* diag) const {
-  const bool aggregated =
-      (options_.aggregation.max_clusters > 0 ||
-       options_.aggregation.auto_tune) &&
-      !options_.use_dense_solver &&
-      problem.num_users() >= options_.aggregation.min_users &&
-      problem.num_users() > 0 && problem.num_files() > 0;
-  if (aggregated) {
-    return AllocateAggregated(problem, state, diag);
-  }
-  // A state left over from an aggregated window reaches this branch only on
-  // a policy/config change (aggregation switched off); start it cold rather
-  // than seed a differently-configured mechanism. The auto-tuner's degrade
-  // path does NOT come through here — AllocateAggregated calls
-  // AllocateDirect itself so the user-granularity state is reused.
-  if (state != nullptr && !state->cluster_of.empty()) state->Invalidate();
-  return AllocateDirect(problem, state, diag);
-}
-
-AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
-                                               OpusWarmState* state,
-                                               OpusDiagnostics* diag) const {
   const auto t_begin = SteadyClock::now();
   const std::size_t n = problem.num_users();
   const std::size_t m = problem.num_files();
@@ -332,27 +575,22 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
   pf_options.use_dense_reference = options_.use_dense_solver;
 
   // The production engine works off the problem's cached CSR view: the
-  // matrix is validated and row sums are taken exactly once, shared by the
-  // star solve and all N leave-one-out solves.
+  // matrix is validated and row sums are taken exactly once, shared by
+  // every solve of the window.
   const CsrMatrix* csr =
       options_.use_dense_solver ? nullptr : &problem.PreferencesCsr();
-
-  // Which users participate in the mechanism (non-empty preference row).
-  std::vector<char> row_active(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double row_sum = 0.0;
-    if (csr != nullptr) {
-      row_sum = csr->row_sum(i);
-    } else {
-      for (double p : problem.preferences.row(i)) row_sum += p;
-    }
-    row_active[i] = row_sum > 0.0 ? 1 : 0;
+  const bool aggregate = (options_.aggregation.max_clusters > 0 ||
+                          options_.aggregation.auto_tune) &&
+                         csr != nullptr &&
+                         n >= options_.aggregation.min_users && n > 0 &&
+                         m > 0;
+  // A state left over from a clustered window meets a window without
+  // aggregation only on a config change (aggregation switched off); start
+  // it cold rather than seed a differently-configured mechanism. The
+  // auto-tuner's degrade case keeps aggregation on and reuses the state.
+  if (!aggregate && state != nullptr && !state->cluster_of.empty()) {
+    state->Invalidate();
   }
-
-  const unsigned tax_threads =
-      options_.tax_threads > 1
-          ? std::min<unsigned>(options_.tax_threads, static_cast<unsigned>(n))
-          : 1;
 
   // Warm state compatibility: the previous window's solve must describe the
   // same problem shape — dimensions, capacity, and the content hash of file
@@ -362,721 +600,89 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
   const bool warm_ok =
       state != nullptr && state->valid && state->preferences.rows() == n &&
       state->preferences.cols() == m && state->capacity == problem.capacity &&
-      state->shape_key == shape_key && state->star_allocation.size() == m &&
-      state->star_utilities.size() == n && state->taxes.size() == n;
+      state->shape_key == shape_key && state->star_allocation.size() == m;
 
-  // Delta machinery: configured by options + a compatible warm state;
-  // auto-off then disables it for this window when the observed drift
-  // fraction says the bookkeeping (restricted composition, per-user reuse
-  // gates) would cost more than the few reusable taxes save.
-  const bool delta_configured =
-      warm_ok && csr != nullptr && options_.delta.drift_threshold > 0.0;
-  std::vector<double> drift;
-  double drift_fraction = 0.0;
-  if (delta_configured) {
-    drift = RowDriftsCsr(*csr, state->preferences, tax_threads);
-    std::size_t mechanism = 0;
-    std::size_t drifted = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (row_active[i] || state->preferences.row_sum(i) > 0.0) ++mechanism;
-      if (drift[i] > options_.delta.drift_threshold) ++drifted;
-    }
-    drift_fraction = mechanism == 0 ? 0.0
-                                    : static_cast<double>(drifted) /
-                                          static_cast<double>(mechanism);
+  // Phase 1: drift against the stored user rows, the auto-tuner's input and
+  // the sticky re-clustering signal. Measured only when aggregation is
+  // configured.
+  const bool measure_drift = aggregate && warm_ok;
+  Drift drift;
+  if (measure_drift) {
+    drift = MeasureDrift(*csr, state->preferences,
+                         options_.delta.drift_threshold,
+                         std::max(1u, options_.tax_threads));
   }
-  const bool delta_auto_off =
-      delta_configured && options_.delta.auto_off_drift_fraction < 1.0 &&
-      drift_fraction >= options_.delta.auto_off_drift_fraction;
-  const bool delta_active = delta_configured && !delta_auto_off;
   const auto t_drift = SteadyClock::now();
 
-  // --- Stage 1: VCG_PF --------------------------------------------------
-  const double residual_gate =
-      options_.delta.gate_slack * options_.solver_tolerance;
-  PfSolution star;
-  bool star_composed = false;
-  std::uint64_t delta_fallbacks = 0;
-  if (delta_active) {
-    // Delta star solve: re-optimize only the columns drifted users touch
-    // (their old and new supports), the previous optimum's interior files
-    // (the water level moves there first), and a gradient-ordered recruit
-    // budget of zero files; everything else is frozen at the previous
-    // allocation. The composed point must pass the FULL problem's KKT
-    // residual gate; otherwise fall back to a warm full solve.
-    const std::vector<double>& a_prev = state->star_allocation;
-    std::vector<char> in_r(m, 0);
-    std::size_t count = 0;
-    double freed = 0.0;
-    auto size_of = [&](std::size_t j) {
-      return problem.file_sizes.empty() ? 1.0 : problem.file_sizes[j];
-    };
-    auto add_col = [&](std::size_t j) {
-      if (!in_r[j]) {
-        in_r[j] = 1;
-        ++count;
-      }
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drift[i] <= options_.delta.drift_threshold) continue;
-      for (std::uint32_t c : csr->row_cols(i)) {
-        if (!in_r[c]) freed += size_of(c) * a_prev[c];
-        add_col(c);
-      }
-      // Old support from the warm state's CSR row (tombstoned entries are
-      // explicit zeros and held nothing).
-      const auto ocols = state->preferences.row_cols(i);
-      const auto ovals = state->preferences.row_vals(i);
-      for (std::size_t k = 0; k < ocols.size(); ++k) {
-        if (ovals[k] <= 0.0) continue;
-        if (!in_r[ocols[k]]) freed += size_of(ocols[k]) * a_prev[ocols[k]];
-        add_col(ocols[k]);
-      }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      if (a_prev[j] > 0.0 && a_prev[j] < 1.0) add_col(j);
-    }
-    // Recruit zero files by the new problem's gradient at the previous
-    // allocation, enough to absorb ~2x the capacity drifted users' files
-    // hold — freed capacity must have somewhere to flow.
-    if (freed > 0.0) {
-      std::vector<double> u_prev(n, 0.0);
-      CsrUtilities(*csr, a_prev, u_prev);
-      std::vector<double> g(m, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!row_active[i] || u_prev[i] <= 0.0) continue;
-        const double scale = priority_of(i) / u_prev[i];
-        const auto cols = csr->row_cols(i);
-        const auto vals = csr->row_vals(i);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          g[cols[k]] += scale * vals[k];
-        }
-      }
-      std::vector<std::size_t> zeros;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (a_prev[j] <= 0.0 && !in_r[j]) zeros.push_back(j);
-      }
-      std::sort(zeros.begin(), zeros.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (g[a] != g[b]) return g[a] > g[b];
-                  return a < b;
-                });
-      double budget = 2.0 * freed;
-      for (std::size_t j : zeros) {
-        if (budget <= 0.0) break;
-        add_col(j);
-        budget -= size_of(j);
-      }
-    }
-    if (count * 4 < m * 3) {
-      PfSolution composed = SolveComposedRestricted(
-          *csr, problem, pf_options, priorities, a_prev, in_r, count);
-      if (composed.residual < residual_gate) {
-        composed.converged = true;
-        star = std::move(composed);
-        star_composed = true;
-      } else {
-        ++delta_fallbacks;
-        PfSolution full = SolveProportionalFairnessCsr(
-            *csr, problem.capacity, pf_options, priorities,
-            composed.allocation, problem.file_sizes);
-        // Fold the wasted composition into this window's accounting.
-        full.iterations += composed.iterations;
-        full.projection_calls += composed.projection_calls;
-        full.projection_warm_hits += composed.projection_warm_hits;
-        full.projection_exact += composed.projection_exact;
-        star = std::move(full);
-      }
-    }
-  }
-  if (star.allocation.empty()) {
-    const std::span<const double> star_warm =
-        warm_ok ? std::span<const double>(state->star_allocation)
-                : std::span<const double>();
-    star = csr != nullptr
-               ? SolveProportionalFairnessCsr(*csr, problem.capacity,
-                                              pf_options, priorities,
-                                              star_warm, problem.file_sizes)
-               : SolveProportionalFairness(problem.preferences,
-                                           problem.capacity, pf_options,
-                                           priorities, star_warm,
-                                           problem.file_sizes);
-  }
+  // Phase 2: the rows to solve.
+  Partition part;
+  PartitionUsers(problem, csr, priorities, options_, aggregate,
+                 warm_ok ? state : nullptr, drift, &part);
+  const auto t_partition = SteadyClock::now();
+
+  // Phase 3 — Stage 1 (VCG_PF): the star solve, warm-started from the
+  // previous window's applied per-file allocation (valid however the
+  // partition changed: a* is per-file, not per-row).
+  const std::span<const double> star_warm =
+      warm_ok ? std::span<const double>(state->star_allocation)
+              : std::span<const double>();
+  const PfSolution star = SolveRows(part, pf_options, part.weights, star_warm);
   const auto t_star = SteadyClock::now();
 
-  // Shared read-only context for the leave-one-out solves, including the
-  // star-allocation structure the restricted fast path partitions on.
-  TaxContext ctx;
-  ctx.problem = &problem;
-  ctx.csr = csr;
-  ctx.star = &star;
-  ctx.pf_options = pf_options;
-  ctx.restricted = csr != nullptr && options_.restricted_tax_solves;
-  if (ctx.restricted) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (star.allocation[j] > 0.0 && star.allocation[j] < 1.0) {
-        ctx.interior_files.push_back(j);
-      }
-    }
-    // Gradient of the full objective at a*: zero files with the steepest
-    // gradient are the ones freed capacity recruits first. For files
-    // outside user i's support this full gradient equals the others'
-    // gradient exactly (user i contributes nothing there), and support
-    // files are always in R, so one global descending order serves all N
-    // solves.
-    std::vector<double> g_full(m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!row_active[i]) continue;
-      const double u = star.utilities[i];
-      if (u <= 0.0) continue;
-      const double scale = priority_of(i) / u;
-      const auto cols = csr->row_cols(i);
-      const auto vals = csr->row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        g_full[cols[k]] += scale * vals[k];
-      }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      if (star.allocation[j] <= 0.0) ctx.zero_order.push_back(j);
-    }
-    std::sort(ctx.zero_order.begin(), ctx.zero_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (g_full[a] != g_full[b]) return g_full[a] > g_full[b];
-                return a < b;  // deterministic tie-break
-              });
+  // Phase 4: pivot taxes. Auto-off closes cluster-tax reuse when the
+  // window drifted too much for its bookkeeping to pay.
+  const bool auto_off =
+      measure_drift && options_.delta.auto_off_drift_fraction < 1.0 &&
+      drift.fraction >= options_.delta.auto_off_drift_fraction;
+  const bool reuse_active = part.sticky && !auto_off;
+  std::vector<char> reuse;
+  if (reuse_active) {
+    reuse = ReusableRows(part, star, *state,
+                         options_.delta.utility_rel_tolerance);
   }
-
-  // Tax reuse (delta windows): a user whose preference row did not drift
-  // and whose support neighborhood of the allocation barely moved has a
-  // leave-one-out problem unchanged up to the drift tolerance — its
-  // previous Clarke tax is reused instead of re-solved. The neighborhood
-  // signal is the UNSIGNED preference-weighted allocation move
-  //   sum_j p_ij |a*new_j - a*old_j|,
-  // not the net utility move: opposite-sign moves across a user's support
-  // cancel in the utility while still reshaping its leave-one-out
-  // landscape (and hence its tax). Approximate by design; the per-window
-  // FairnessAuditor re-checks the guarantees on the applied allocation.
-  std::vector<char> reuse(n, 0);
-  std::uint64_t reused_taxes = 0;
-  if (delta_active) {
-    const std::vector<double>& a_prev = state->star_allocation;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drift[i] > options_.delta.drift_threshold) continue;
-      const auto cols = csr->row_cols(i);
-      const auto vals = csr->row_vals(i);
-      double moved = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        moved += vals[k] * std::fabs(star.allocation[cols[k]] -
-                                     a_prev[cols[k]]);
-      }
-      if (moved > options_.delta.utility_rel_tolerance *
-                      std::max(star.utilities[i], 1e-12)) {
-        continue;
-      }
-      reuse[i] = 1;
-      ++reused_taxes;
-    }
-  }
-
-  // Virtual welfare at the star point, precomputed once: each active
-  // user's log term and their Kahan total, so welfare-at-star excluding i
-  // is an O(1) subtraction instead of the old O(N) re-sum per tax solve
-  // (an O(N^2) term all by itself at million-user scale).
-  std::vector<double> star_logs(n, 0.0);
-  double star_log_total = 0.0;
-  {
-    std::vector<double> terms;
-    terms.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!row_active[k] || star.utilities[k] <= 0.0) continue;
-      star_logs[k] = priority_of(k) * std::log(star.utilities[k]);
-      terms.push_back(star_logs[k]);
-    }
-    star_log_total = KahanSum(terms);
-  }
-
-  // Clarke pivot taxes via leave-one-out PF solves, warm-started from a*.
-  // The solves are independent; with tax_threads > 1 they run through the
-  // shared pool, each participating thread owning one pre-sized scratch
-  // slab (weights + log buffer) via its ParallelForSlot slot id — no
-  // per-index allocation. Results and per-solve stats land in
-  // index-addressed slots and are folded in order below, so the outcome is
-  // bit-identical to the serial run at any thread count.
-  std::vector<double> taxes(n, 0.0);
-  std::vector<LooStats> loo_stats(n);
-  std::vector<char> restricted_hit(n, 0);
-  std::vector<char> restricted_fb(n, 0);
-  struct TaxScratch {
-    std::vector<double> weights;  // priorities copy; [i] saved/restored
-    std::vector<double> logs;     // welfare accumulation buffer
-  };
-  std::vector<TaxScratch> scratch(
-      ThreadPool::Shared().SlotBound(n, tax_threads));
-  auto tax_for = [&](std::size_t i, std::size_t slot) {
-    if (reuse[i]) {
-      taxes[i] = std::max(0.0, state->taxes[i]);
-      return;
-    }
-    TaxScratch& s = scratch[slot];
-    if (s.weights.size() != n) {
-      s.weights.assign(n, 1.0);
-      if (!priorities.empty()) {
-        std::copy(priorities.begin(), priorities.end(), s.weights.begin());
-      }
-      s.logs.reserve(n);
-    }
-    std::vector<double>& weights = s.weights;
-    const double saved = weights[i];
-    weights[i] = 0.0;
-    PfSolution without_i;
-    if (csr != nullptr && !row_active[i]) {
-      // User i never entered the objective, so the leave-one-out problem
-      // *is* the star problem: reuse its solution at zero marginal cost.
-      without_i.allocation = star.allocation;
-      without_i.utilities = star.utilities;
-      without_i.objective = star.objective;
-      without_i.residual = star.residual;
-      without_i.converged = star.converged;
-    } else {
-      bool attempted = false;
-      std::optional<PfSolution> fast;
-      PfSolution attempt_cost;
-      if (ctx.restricted) {
-        fast = RestrictedLeaveOneOut(ctx, i, weights, &attempted,
-                                     &attempt_cost);
-      }
-      if (fast.has_value()) {
-        without_i = std::move(*fast);
-        restricted_hit[i] = 1;
-      } else {
-        if (attempted) restricted_fb[i] = 1;
-        // Full solve, warm-started from the best available point: the
-        // failed restricted composition when there is one, else a*.
-        std::span<const double> warm =
-            attempted ? std::span<const double>(attempt_cost.allocation)
-                      : std::span<const double>(star.allocation);
-        without_i =
-            csr != nullptr
-                ? SolveProportionalFairnessCsr(*csr, problem.capacity,
-                                               pf_options, weights, warm,
-                                               problem.file_sizes)
-                : SolveProportionalFairness(problem.preferences,
-                                            problem.capacity, pf_options,
-                                            weights, warm,
-                                            problem.file_sizes);
-        if (attempted) {
-          // Fold the wasted restricted attempt into this tax's accounting.
-          without_i.iterations += attempt_cost.iterations;
-          without_i.projection_calls += attempt_cost.projection_calls;
-          without_i.projection_warm_hits += attempt_cost.projection_warm_hits;
-          without_i.projection_exact += attempt_cost.projection_exact;
-        }
-      }
-    }
-    weights[i] = saved;
-
-    s.logs.clear();
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k == i || !row_active[k]) continue;
-      // At a PF optimum with positive capacity every user with a non-zero
-      // preference row has strictly positive utility; utility can be zero
-      // only in the degenerate capacity-0 / no-files instances, where it is
-      // zero in both the full and the leave-one-out solution and cancels
-      // out of the tax — skip symmetrically with the star-side terms.
-      if (without_i.utilities[k] <= 0.0) continue;
-      s.logs.push_back(priority_of(k) * std::log(without_i.utilities[k]));
-    }
-    const double welfare_without = KahanSum(s.logs);
-    const double welfare_at_star = star_log_total - star_logs[i];
-    // The pivot tax is non-negative by optimality of the leave-one-out
-    // solution; clamp away solver residual noise.
-    taxes[i] = std::max(0.0, welfare_without - welfare_at_star);
-    loo_stats[i] = LooStats::From(without_i);
-  };
-  if (tax_threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) tax_for(i, 0);
-  } else {
-    ThreadPool::Shared().ParallelForSlot(n, tax_for, tax_threads);
-  }
-  const auto t_tax = SteadyClock::now();
+  const auto reused_taxes =
+      static_cast<std::uint64_t>(std::count(reuse.begin(), reuse.end(), 1));
   PfStats solve_stats;
   solve_stats.Observe(star);
-  for (std::size_t i = 0; i < n; ++i) loo_stats[i].FoldInto(&solve_stats);
-  for (std::size_t i = 0; i < n; ++i) {
-    solve_stats.restricted_solves += restricted_hit[i];
-    solve_stats.restricted_fallbacks += restricted_fb[i];
-  }
-  auto fill_solver_fields = [&](AllocationResult& r) {
-    r.solver_iterations = solve_stats.iterations;
-    r.solver_residual = solve_stats.max_residual;
-    r.solver_solves = solve_stats.solves;
-    r.solver_projections = solve_stats.projection_calls;
-    r.solver_restricted_taxes = solve_stats.restricted_solves;
-    r.solver_restricted_fallbacks = solve_stats.restricted_fallbacks;
-    r.solver_nnz_ratio = csr != nullptr ? csr->NnzRatio() : 1.0;
-    r.solver_warm_started = warm_ok;
-    r.solver_delta_window = delta_active;
-    r.solver_delta_star_composed = star_composed;
-    r.solver_delta_auto_off = delta_auto_off;
-    r.solver_drift_fraction = drift_fraction;
-    if (delta_active) {
-      r.solver_delta_resolved = static_cast<std::uint64_t>(n) - reused_taxes;
-      r.solver_delta_reused = reused_taxes;
-    }
-    r.solver_delta_fallbacks = delta_fallbacks;
-  };
+  std::vector<double> row_taxes = SolveRowTaxes(
+      part, star, pf_options, options_.restricted_tax_solves,
+      options_.tax_threads, reuse,
+      reuse_active ? std::span<const double>(state->cluster_taxes)
+                   : std::span<const double>(),
+      &solve_stats);
+  const auto t_tax = SteadyClock::now();
 
+  // Phase 5: disaggregate to users, then Stage 2 (PROVIDES_IG). A user
+  // row's tax is its user's. A cluster's member tax scales with priority
+  // (T_i = member_tax_c * w_i / mean_w_c, which DisaggregateTaxes produces
+  // from member_tax_c * member_count_c), so every member of a cluster gets
+  // the same blocking probability.
+  std::vector<double> taxes;
+  std::vector<double> member_utilities;
+  if (part.clustered()) {
+    std::vector<double> scaled(row_taxes.size());
+    for (std::size_t c = 0; c < row_taxes.size(); ++c) {
+      scaled[c] = row_taxes[c] * part.members[c];
+    }
+    DisaggregateTaxes(part.clustering, scaled, priorities, &taxes);
+    member_utilities.assign(n, 0.0);
+    CsrUtilities(*csr, star.allocation, member_utilities);
+  } else {
+    taxes.swap(row_taxes);
+  }
+  const std::vector<double>& utilities =
+      part.clustered() ? member_utilities : star.utilities;
   std::vector<double> blocking(n, 0.0);
   std::vector<double> net(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     // The tax lives in virtual-welfare units; user i's virtual utility is
     // w_i log U_i, so the utility share it keeps is exp(-T_i / w_i).
     blocking[i] = 1.0 - std::exp(-taxes[i] / priority_of(i));
-    net[i] = std::exp(-taxes[i] / priority_of(i)) * star.utilities[i];
-  }
-
-  // --- Stage 2: PROVIDES_IG ----------------------------------------------
-  const std::vector<double> isolated = IsolatedUtilities(problem, priorities);
-  bool ig_holds = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (net[i] < isolated[i] - options_.ig_tolerance) {
-      ig_holds = false;
-      break;
-    }
-  }
-
-  // Refresh the warm state with this window's outcome (even on an
-  // isolation fallback: the PF solve and taxes are still the right seed
-  // for the next window's sharing attempt). Rows are stored as one CSR —
-  // never a dense N x M copy.
-  if (state != nullptr) {
-    state->preferences = csr != nullptr ? *csr : problem.PreferencesCsr();
-    state->capacity = problem.capacity;
-    state->shape_key = shape_key;
-    state->star_allocation = star.allocation;
-    state->star_utilities = star.utilities;
-    state->taxes = taxes;
-    state->cluster_of.clear();
-    state->leader_of.clear();
-    state->cluster_weight.clear();
-    state->cluster_taxes.clear();
-    state->cluster_utilities.clear();
-    state->drift_fraction = drift_fraction;
-    state->windows = warm_ok ? state->windows + 1 : 1;
-    state->valid = true;
-    state->tombstoned_nnz_ = 0;
-  }
-  const auto t_fin = SteadyClock::now();
-
-  if (diag != nullptr) {
-    diag->pf_allocation = star.allocation;
-    diag->pf_utilities = star.utilities;
-    diag->taxes = taxes;
-    diag->break_even_taxes.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (isolated[i] <= 0.0) {
-        diag->break_even_taxes[i] = std::numeric_limits<double>::infinity();
-      } else if (star.utilities[i] <= 0.0) {
-        diag->break_even_taxes[i] = 0.0;
-      } else {
-        diag->break_even_taxes[i] =
-            priority_of(i) * std::log(star.utilities[i] / isolated[i]);
-      }
-    }
-    diag->net_utilities = net;
-    diag->isolated_utilities = isolated;
-    diag->settled_on_sharing = ig_holds;
-    diag->solver_iterations = static_cast<int>(solve_stats.iterations);
-    diag->drift_wall_ms = WallMs(t_begin, t_drift);
-    diag->cluster_wall_ms = 0.0;
-    diag->star_wall_ms = WallMs(t_drift, t_star);
-    diag->tax_wall_ms = WallMs(t_star, t_tax);
-    diag->finalize_wall_ms = WallMs(t_tax, t_fin);
-  }
-
-  if (!ig_holds) {
-    AllocationResult r = IsolatedAllocator(priorities).Allocate(problem);
-    r.policy = name();
-    fill_solver_fields(r);
-    return r;
-  }
-
-  AllocationResult r;
-  r.policy = name();
-  r.file_alloc = star.allocation;
-  r.taxes = std::move(taxes);
-  r.blocking = std::move(blocking);
-  fill_solver_fields(r);
-  for (std::size_t j = 0; j < m; ++j) {
-    r.copy_footprint += r.file_alloc[j] * problem.FileSize(j);
-  }
-  if (problem.dense_backed()) {
-    r.access = Matrix(n, m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double keep = 1.0 - r.blocking[i];
-      for (std::size_t j = 0; j < m; ++j) {
-        r.access(i, j) = keep * r.file_alloc[j];
-      }
-    }
-    r.reported_utilities = EvaluateUtilities(r, problem.preferences);
-  } else {
-    // Lean sparse output: the access matrix e_ij = (1 - f_i) a_j is rank-1
-    // and recoverable from blocking + file_alloc; materializing it at
-    // N = 10^6 would dwarf every other allocation in the window. Reported
-    // utilities are the nets (identical arithmetic to the dense
-    // EvaluateUtilities contraction up to fp association).
-    r.reported_utilities = std::move(net);
-  }
-  return r;
-}
-
-AllocationResult OpusAllocator::AllocateAggregated(
-    const CachingProblem& problem, OpusWarmState* state,
-    OpusDiagnostics* diag) const {
-  const auto t_begin = SteadyClock::now();
-  const std::size_t n = problem.num_users();
-  const std::size_t m = problem.num_files();
-  const std::vector<double>& priorities = options_.user_weights;
-  if (!priorities.empty()) {
-    OPUS_CHECK_EQ(priorities.size(), n);
-    for (double w : priorities) OPUS_CHECK_GT(w, 0.0);
-  }
-  auto priority_of = [&](std::size_t i) {
-    return priorities.empty() ? 1.0 : priorities[i];
-  };
-
-  PfOptions pf_options;
-  pf_options.tolerance = options_.solver_tolerance;
-  pf_options.max_iterations = options_.solver_max_iterations;
-  const CsrMatrix& ucsr = problem.PreferencesCsr();
-  const unsigned threads_hint =
-      options_.tax_threads > 1 ? options_.tax_threads : 1;
-
-  // Aggregated windows keep the warm state at USER granularity (rows,
-  // taxes, star utilities) plus the clustering artifacts, so the same
-  // shape key serves both paths and the auto-tuner's degrade path can hand
-  // the state straight to AllocateDirect.
-  const std::uint64_t shape_key = ProblemShapeKey(problem, priorities);
-  const bool warm_ok =
-      state != nullptr && state->valid && state->preferences.rows() == n &&
-      state->preferences.cols() == m && state->capacity == problem.capacity &&
-      state->shape_key == shape_key && state->star_allocation.size() == m &&
-      state->star_utilities.size() == n && state->taxes.size() == n;
-
-  // Drift statistics vs. the stored user rows — the auto-tuner's input and
-  // the sticky re-clustering signal. The aggregated path needs a threshold
-  // even when delta composition is not configured; 0.05 on normalized rows
-  // is well under the clustering similarity threshold.
-  const double drift_threshold = options_.delta.drift_threshold > 0.0
-                                     ? options_.delta.drift_threshold
-                                     : 0.05;
-  std::vector<double> drift;
-  double drift_fraction = 0.0;
-  if (warm_ok) {
-    drift = RowDriftsCsr(ucsr, state->preferences, threads_hint);
-    std::size_t mechanism = 0;
-    std::size_t drifted = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ucsr.row_sum(i) > 0.0 || state->preferences.row_sum(i) > 0.0) {
-        ++mechanism;
-      }
-      if (drift[i] > drift_threshold) ++drifted;
-    }
-    drift_fraction = mechanism == 0 ? 0.0
-                                    : static_cast<double>(drifted) /
-                                          static_cast<double>(mechanism);
-  }
-  const auto t_drift = SteadyClock::now();
-
-  const std::size_t budget = ChooseClusterBudget(options_.aggregation, n,
-                                                 warm_ok ? drift_fraction
-                                                         : -1.0);
-  if (budget == 0) {
-    // Auto-tuner degrade: drift crossed degrade_drift_fraction, so cluster
-    // approximations stop paying for themselves — run the window at user
-    // granularity. The state is user-granularity by construction and is
-    // handed over intact (NOT invalidated): the direct path warm-starts
-    // from it and clears the cluster artifacts on refresh.
-    return AllocateDirect(problem, state, diag);
-  }
-
-  // Clustering: sticky against the previous window when auto-tuning and the
-  // warm clustering is compatible (and the tuner did not shrink the budget
-  // to under half the surviving cluster count — then a fresh coarse
-  // clustering beats dragging a fine one along); fresh greedy pass
-  // otherwise.
-  const std::size_t prev_k = warm_ok ? state->leader_of.size() : 0;
-  bool leaders_valid = prev_k > 0 && state->cluster_of.size() == n &&
-                       state->cluster_weight.size() == prev_k &&
-                       state->cluster_taxes.size() == prev_k;
-  if (leaders_valid) {
-    for (const std::uint32_t leader : state->leader_of) {
-      if (leader >= n) {
-        leaders_valid = false;
-        break;
-      }
-    }
-  }
-  const bool sticky = options_.aggregation.auto_tune && warm_ok &&
-                      leaders_valid && budget * 2 >= prev_k;
-  std::vector<char> dirty;
-  UserClustering clustering;
-  if (sticky) {
-    clustering = StickyReclusterByPreference(
-        problem, options_.aggregation, priorities, state->cluster_of,
-        state->leader_of, drift, drift_threshold, budget, &dirty);
-  } else {
-    AggregationOptions fresh = options_.aggregation;
-    fresh.max_clusters = budget;
-    clustering = ClusterUsersByPreference(problem, fresh, priorities);
-    dirty.assign(clustering.num_clusters, 1);
-  }
-  if (clustering.num_clusters == 0) {
-    // No user has a non-empty row; the direct path handles the degenerate
-    // window.
-    return AllocateDirect(problem, state, diag);
-  }
-  const CachingProblem aggregate = BuildAggregateProblem(problem, clustering);
-  const std::size_t num_clusters = clustering.num_clusters;
-  const std::vector<double>& cluster_weights = clustering.cluster_weight;
-  std::vector<double> member_count(num_clusters, 0.0);
-  for (const std::uint32_t c : clustering.cluster_of) {
-    if (c != kUnclustered) member_count[c] += 1.0;
-  }
-  const CsrMatrix& acsr = aggregate.PreferencesCsr();
-  const auto t_cluster = SteadyClock::now();
-
-  // Star solve at cluster granularity, warm-started from the previous
-  // window's applied per-file allocation (valid regardless of how the
-  // clustering changed: a* is per-file, not per-cluster).
-  const std::span<const double> star_warm =
-      warm_ok ? std::span<const double>(state->star_allocation)
-              : std::span<const double>();
-  const PfSolution star = SolveProportionalFairnessCsr(
-      acsr, aggregate.capacity, pf_options, cluster_weights, star_warm,
-      aggregate.file_sizes);
-  const auto t_star = SteadyClock::now();
-
-  // Cluster-tax reuse (sticky windows): a cluster untouched by drift or
-  // membership changes whose aggregate row saw only a tiny unsigned
-  // allocation move keeps its previous leave-one-member-out tax — the same
-  // gate the direct path applies per user, at cluster-row granularity.
-  // Auto-off (shared with the delta options) disables reuse when the window
-  // drifted too much for the bookkeeping to pay.
-  const bool delta_auto_off =
-      warm_ok && options_.delta.auto_off_drift_fraction < 1.0 &&
-      drift_fraction >= options_.delta.auto_off_drift_fraction;
-  const bool reuse_active = sticky && !delta_auto_off;
-  std::vector<char> creuse(num_clusters, 0);
-  std::uint64_t reused_taxes = 0;
-  if (reuse_active) {
-    for (std::size_t c = 0; c < num_clusters && c < prev_k; ++c) {
-      if (dirty[c]) continue;
-      const auto cols = acsr.row_cols(c);
-      const auto vals = acsr.row_vals(c);
-      double moved = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        moved += vals[k] * std::fabs(star.allocation[cols[k]] -
-                                     state->star_allocation[cols[k]]);
-      }
-      if (moved > options_.delta.utility_rel_tolerance *
-                      std::max(star.utilities[c], 1e-12)) {
-        continue;
-      }
-      creuse[c] = 1;
-      ++reused_taxes;
-    }
-  }
-
-  // Per-cluster leave-one-MEMBER-out solves. Removing the whole cluster
-  // would price the coalition's externality (which grows with cluster size
-  // and over-taxes every member ~member_count-fold); instead reduce cluster
-  // c's weight by one mean member weight and charge the departing member
-  // the others' welfare gain — the individual Clarke pivot under the
-  // approximation that the member's preferences equal its cluster's.
-  // "Others" includes the member's own cluster at its remaining weight.
-  // Parallel via slot-indexed scratch, folded in order — bit-identical at
-  // any thread count.
-  std::vector<double> member_tax(num_clusters, 0.0);
-  std::vector<LooStats> loo_stats(num_clusters);
-  struct AggScratch {
-    std::vector<double> weights;  // cluster_weights copy; [c] saved/restored
-    std::vector<double> logs;
-  };
-  const unsigned tax_threads =
-      options_.tax_threads > 1
-          ? std::min<unsigned>(options_.tax_threads,
-                               static_cast<unsigned>(num_clusters))
-          : 1;
-  std::vector<AggScratch> scratch(
-      ThreadPool::Shared().SlotBound(num_clusters, tax_threads));
-  auto tax_for = [&](std::size_t c, std::size_t slot) {
-    if (member_count[c] <= 0.0) return;  // emptied-out sticky cluster
-    if (creuse[c]) {
-      member_tax[c] = std::max(0.0, state->cluster_taxes[c]);
-      return;
-    }
-    AggScratch& s = scratch[slot];
-    if (s.weights.size() != num_clusters) {
-      s.weights = cluster_weights;
-      s.logs.reserve(num_clusters);
-    }
-    std::vector<double>& weights = s.weights;
-    const double mean_weight = cluster_weights[c] / member_count[c];
-    const double saved = weights[c];
-    weights[c] = std::max(0.0, cluster_weights[c] - mean_weight);
-    PfSolution without = SolveProportionalFairnessCsr(
-        acsr, aggregate.capacity, pf_options, weights,
-        std::span<const double>(star.allocation), aggregate.file_sizes);
-    s.logs.clear();
-    for (std::size_t k = 0; k < num_clusters; ++k) {
-      if (weights[k] <= 0.0 || without.utilities[k] <= 0.0) continue;
-      s.logs.push_back(weights[k] * std::log(without.utilities[k]));
-    }
-    const double welfare_without = KahanSum(s.logs);
-    s.logs.clear();
-    for (std::size_t k = 0; k < num_clusters; ++k) {
-      if (weights[k] <= 0.0 || star.utilities[k] <= 0.0) continue;
-      s.logs.push_back(weights[k] * std::log(star.utilities[k]));
-    }
-    const double welfare_at_star = KahanSum(s.logs);
-    weights[c] = saved;
-    member_tax[c] = std::max(0.0, welfare_without - welfare_at_star);
-    loo_stats[c] = LooStats::From(without);
-  };
-  if (tax_threads <= 1) {
-    for (std::size_t c = 0; c < num_clusters; ++c) tax_for(c, 0);
-  } else {
-    ThreadPool::Shared().ParallelForSlot(num_clusters, tax_for, tax_threads);
-  }
-  const auto t_tax = SteadyClock::now();
-  PfStats solve_stats;
-  solve_stats.Observe(star);
-  for (std::size_t c = 0; c < num_clusters; ++c) {
-    loo_stats[c].FoldInto(&solve_stats);
-  }
-
-  // Disaggregate: the file allocation is shared verbatim; per-member taxes
-  // scale with priority (T_i = member_tax_c * w_i / mean_w_c, which
-  // DisaggregateTaxes produces from member_tax_c * member_count_c), so
-  // every member of a cluster gets the same blocking probability.
-  std::vector<double> scaled_cluster_taxes(num_clusters, 0.0);
-  for (std::size_t c = 0; c < num_clusters; ++c) {
-    scaled_cluster_taxes[c] = member_tax[c] * member_count[c];
-  }
-  std::vector<double> taxes;
-  DisaggregateTaxes(clustering, scaled_cluster_taxes, priorities, &taxes);
-  std::vector<double> utilities(n, 0.0);
-  CsrUtilities(ucsr, star.allocation, utilities);
-  std::vector<double> blocking(n, 0.0);
-  std::vector<double> net(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    blocking[i] = 1.0 - std::exp(-taxes[i] / priority_of(i));
     net[i] = std::exp(-taxes[i] / priority_of(i)) * utilities[i];
   }
-
-  // Stage 2 at user granularity: sharing is kept only when every member's
-  // net utility covers its own isolated baseline.
+  // Stage 2 runs at user granularity even for clustered windows: sharing is
+  // kept only when every user's net utility covers its own isolated
+  // baseline, which cluster-level stage 2 alone cannot promise.
   const std::vector<double> isolated = IsolatedUtilities(problem, priorities);
   bool ig_holds = true;
   for (std::size_t i = 0; i < n; ++i) {
@@ -1086,45 +692,23 @@ AllocationResult OpusAllocator::AllocateAggregated(
     }
   }
 
-  // Refresh the warm state: user rows + disaggregated per-user artifacts
-  // (so the degrade path and drift stats work), plus the clustering and
-  // cluster-level artifacts (so sticky re-clustering and tax reuse work).
+  // Phase 6: refresh the warm state with this window's outcome (even on an
+  // isolation fallback: the PF solve and taxes are still the right seed
+  // for the next window's sharing attempt). User rows are stored as one
+  // CSR, never a dense N x M copy.
   if (state != nullptr) {
-    state->preferences = ucsr;
+    state->preferences = problem.PreferencesCsr();
     state->capacity = problem.capacity;
     state->shape_key = shape_key;
     state->star_allocation = star.allocation;
-    state->star_utilities = utilities;
-    state->taxes = taxes;
-    state->cluster_of = clustering.cluster_of;
-    state->leader_of = clustering.leader_of;
-    state->cluster_weight = clustering.cluster_weight;
-    state->cluster_taxes = member_tax;
-    state->cluster_utilities = star.utilities;
-    state->drift_fraction = drift_fraction;
+    state->cluster_of = part.clustering.cluster_of;
+    state->leader_of = part.clustering.leader_of;
+    state->cluster_taxes = row_taxes;  // empty for the identity partition
     state->windows = warm_ok ? state->windows + 1 : 1;
     state->valid = true;
     state->tombstoned_nnz_ = 0;
   }
   const auto t_fin = SteadyClock::now();
-
-  auto fill_solver_fields = [&](AllocationResult& r) {
-    r.solver_iterations = solve_stats.iterations;
-    r.solver_residual = solve_stats.max_residual;
-    r.solver_solves = solve_stats.solves;
-    r.solver_projections = solve_stats.projection_calls;
-    r.solver_nnz_ratio = acsr.NnzRatio();
-    r.solver_warm_started = warm_ok;
-    r.solver_agg_clusters = num_clusters;
-    r.solver_delta_window = reuse_active;
-    r.solver_delta_auto_off = delta_auto_off;
-    r.solver_drift_fraction = drift_fraction;
-    if (reuse_active) {
-      r.solver_delta_resolved =
-          static_cast<std::uint64_t>(num_clusters) - reused_taxes;
-      r.solver_delta_reused = reused_taxes;
-    }
-  };
 
   if (diag != nullptr) {
     diag->pf_allocation = star.allocation;
@@ -1146,40 +730,57 @@ AllocationResult OpusAllocator::AllocateAggregated(
     diag->settled_on_sharing = ig_holds;
     diag->solver_iterations = static_cast<int>(solve_stats.iterations);
     diag->drift_wall_ms = WallMs(t_begin, t_drift);
-    diag->cluster_wall_ms = WallMs(t_drift, t_cluster);
-    diag->star_wall_ms = WallMs(t_cluster, t_star);
+    diag->cluster_wall_ms = WallMs(t_drift, t_partition);
+    diag->star_wall_ms = WallMs(t_partition, t_star);
     diag->tax_wall_ms = WallMs(t_star, t_tax);
     diag->finalize_wall_ms = WallMs(t_tax, t_fin);
   }
 
-  if (!ig_holds) {
-    AllocationResult r = IsolatedAllocator(priorities).Allocate(problem);
-    r.policy = name();
-    fill_solver_fields(r);
-    return r;
-  }
-
   AllocationResult r;
-  r.policy = name();
-  r.file_alloc = star.allocation;
-  r.taxes = std::move(taxes);
-  r.blocking = std::move(blocking);
-  fill_solver_fields(r);
-  for (std::size_t j = 0; j < m; ++j) {
-    r.copy_footprint += r.file_alloc[j] * problem.FileSize(j);
-  }
-  if (problem.dense_backed()) {
-    r.access = Matrix(n, m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double keep = 1.0 - r.blocking[i];
-      for (std::size_t j = 0; j < m; ++j) {
-        r.access(i, j) = keep * r.file_alloc[j];
-      }
-    }
-    r.reported_utilities = EvaluateUtilities(r, problem.preferences);
+  if (!ig_holds) {
+    r = IsolatedAllocator(priorities).Allocate(problem);
   } else {
-    // Lean sparse output (see AllocateDirect): access is rank-1 implicit.
-    r.reported_utilities = std::move(net);
+    r.file_alloc = star.allocation;
+    r.taxes = std::move(taxes);
+    r.blocking = std::move(blocking);
+    for (std::size_t j = 0; j < m; ++j) {
+      r.copy_footprint += r.file_alloc[j] * problem.FileSize(j);
+    }
+    if (problem.dense_backed()) {
+      r.access = Matrix(n, m, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double keep = 1.0 - r.blocking[i];
+        for (std::size_t j = 0; j < m; ++j) {
+          r.access(i, j) = keep * r.file_alloc[j];
+        }
+      }
+      r.reported_utilities = EvaluateUtilities(r, problem.preferences);
+    } else {
+      // Lean sparse output: the access matrix e_ij = (1 - f_i) a_j is
+      // rank-1 and recoverable from blocking + file_alloc; materializing it
+      // at N = 10^6 would dwarf every other allocation in the window.
+      // Reported utilities are the nets (identical arithmetic to the dense
+      // EvaluateUtilities contraction up to fp association).
+      r.reported_utilities = std::move(net);
+    }
+  }
+  r.policy = name();
+  r.solver_iterations = solve_stats.iterations;
+  r.solver_residual = solve_stats.max_residual;
+  r.solver_solves = solve_stats.solves;
+  r.solver_projections = solve_stats.projection_calls;
+  r.solver_restricted_taxes = solve_stats.restricted_solves;
+  r.solver_restricted_fallbacks = solve_stats.restricted_fallbacks;
+  r.solver_nnz_ratio = part.csr != nullptr ? part.csr->NnzRatio() : 1.0;
+  r.solver_warm_started = warm_ok;
+  r.solver_agg_clusters = part.clustering.num_clusters;
+  r.solver_delta_window = reuse_active;
+  r.solver_delta_auto_off = auto_off;
+  r.solver_drift_fraction = drift.fraction;
+  if (reuse_active) {
+    r.solver_delta_resolved =
+        static_cast<std::uint64_t>(part.problem->num_users()) - reused_taxes;
+    r.solver_delta_reused = reused_taxes;
   }
   return r;
 }

@@ -23,45 +23,26 @@
 
 namespace opus {
 
-// Incremental allocation windows (delta solves). When an OpusWarmState is
-// supplied, every window's PF solves warm-start from the previous window's
-// applied allocation; with drift_threshold > 0 the allocator additionally
-// re-solves *only* users whose preference rows moved, composing everything
-// else from the warm state:
-//  - the star solve restricts to the columns drifted users touch (plus the
-//    previous optimum's interior files and a gradient-ordered recruit
-//    budget), freezes the rest at the previous allocation via
-//    utility_offsets, and validates the composed point against the FULL
-//    problem's KKT residual — automatic warm full-solve fallback when the
-//    gate misses (the exact pattern of the restricted leave-one-out tax
-//    fast path);
-//  - leave-one-out taxes of users whose row did not drift and whose star
-//    utility barely moved are reused from the previous window (their
-//    leave-one-out problem is unchanged up to the drift tolerance).
-// The reused taxes are approximate by design; the per-window
-// FairnessAuditor re-verifies isolation/break-even/envy on the applied
-// allocation, and the residual gate keeps the allocation itself exact.
+// Tuning of aggregated incremental windows (options.aggregation): how
+// drift is measured against the warm state, when a sticky cluster keeps its
+// previous leave-one-member-out tax, and when that reuse shuts off.
+// Windows without aggregation never read these: they re-solve every user,
+// warm-started from the previous window's allocation.
 struct OpusDeltaOptions {
   // Per-user L1 preference drift (normalized rows, so in [0, 2]) beyond
-  // which the user counts as drifted. 0 disables delta composition: every
-  // window re-solves all users (still warm-started when a state exists).
-  double drift_threshold = 0.0;
-  // A stale user's tax is reused only if the allocation moved — summed
-  // UNSIGNED over its preference row, sum_j p_ij |da_j| — by less than
-  // this fraction of its star utility; larger neighborhood moves mean the
-  // optimum shifted under the user and its leave-one-out solve is re-run.
-  // (The unsigned move dominates the net utility move, so a reused user's
-  // utility is stable too.)
+  // which a user counts as drifted: the auto-tuner's drift fraction and the
+  // sticky re-clustering signal. 0.05 is well under the clustering
+  // similarity threshold.
+  double drift_threshold = 0.05;
+  // A clean sticky cluster's tax is reused only if the allocation moved —
+  // summed UNSIGNED over its preference row, sum_j p_cj |da_j| — by less
+  // than this fraction of its star utility; larger neighborhood moves mean
+  // the optimum shifted under the cluster and its solve is re-run.
   double utility_rel_tolerance = 0.01;
-  // Residual gate: a composed delta allocation is accepted when the full
-  // problem's KKT residual is below gate_slack * solver_tolerance.
-  double gate_slack = 10.0;
-  // Auto-off: when the drifted-user fraction of a window reaches this, the
-  // delta machinery (restricted star composition, per-user reuse gates) is
-  // skipped for the window — the bookkeeping costs more than the few
-  // reusable taxes save, and the window runs as a plain warm solve. 1.0
-  // (the default) never auto-disables; the daemon flag --delta-auto-off
-  // sets it.
+  // Auto-off: when the drifted-user fraction of a window reaches this,
+  // cluster-tax reuse is skipped for the window — the bookkeeping costs
+  // more than the few reusable taxes save. 1.0 (the default) never
+  // auto-disables; the daemon flag --delta-auto-off sets it.
   double auto_off_drift_fraction = 1.0;
 };
 
@@ -72,40 +53,34 @@ struct OpusDeltaOptions {
 //
 // Storage is memory-lean by construction: preference rows live as one CSR
 // (never a dense N x M copy — warm state for 10^6 users at 0.1% density is
-// hundreds of MB, not TB), per-user artifacts are flat N-vectors, and the
-// problem key is dimensions + capacity + an O(M + N) content hash of file
-// sizes and priority weights instead of retained full copies. Aggregated
-// windows ALSO store user-granularity rows/taxes (the disaggregated ones),
-// plus the clustering and cluster-level artifacts, so drift statistics,
-// sticky re-clustering, and cluster-tax reuse all work across windows.
+// hundreds of MB, not TB), and the problem key is dimensions + capacity +
+// an O(M + N) content hash of file sizes and priority weights instead of
+// retained full copies. Every window stores user-granularity rows, so
+// drift statistics work across per-user and clustered windows; clustered
+// windows add the clustering and cluster taxes for sticky re-clustering
+// and cluster-tax reuse.
 struct OpusWarmState {
   bool valid = false;
   CsrMatrix preferences;  // normalized USER rows of the problem last solved
   double capacity = 0.0;
   std::uint64_t shape_key = 0;  // HashDoubles(file_sizes) ^mixed weights
-  std::vector<double> star_allocation;   // previous applied a* (length M)
-  std::vector<double> star_utilities;    // per-user U_i(a*)
-  std::vector<double> taxes;             // per-user Clarke taxes
-  // Aggregated-window artifacts (empty after a direct window):
-  std::vector<std::uint32_t> cluster_of;   // [user] -> cluster (or kUnclustered)
-  std::vector<std::uint32_t> leader_of;    // [cluster] founding user id
-  std::vector<double> cluster_weight;      // [cluster] summed member weights
-  std::vector<double> cluster_taxes;       // [cluster] leave-one-member-out tax
-  std::vector<double> cluster_utilities;   // [cluster] aggregate-row U_c(a*)
-  // Drift statistics observed entering the last window (auto-tuner input).
-  double drift_fraction = 0.0;
+  std::vector<double> star_allocation;  // previous applied a* (length M)
+  // Aggregated-window artifacts (empty after a per-user window):
+  std::vector<std::uint32_t> cluster_of;  // [user] -> cluster (or kUnclustered)
+  std::vector<std::uint32_t> leader_of;   // [cluster] founding user id
+  std::vector<double> cluster_taxes;      // [cluster] leave-one-member-out tax
   std::uint64_t windows = 0;  // consecutive windows served warm
 
   // Invalidates AND releases storage (the purge path: policy swap or
   // capacity reconfig must not keep a dead million-user CSR resident).
   void Invalidate();
 
-  // Forgets one user's row (user churn): the stored row is tombstoned and
-  // its tax/utility zeroed, so a revived user's first non-empty window
-  // registers as drift and is re-solved instead of reusing departed-tenant
-  // state. Accumulated tombstones are compacted once they reach a quarter
-  // of the stored entries, so mass dropuser churn returns the state's
-  // memory to baseline instead of leaving dead rows resident.
+  // Forgets one user's row (user churn): the stored row is tombstoned, so
+  // a revived user's first non-empty window registers as drift and its
+  // cluster is re-solved instead of reusing departed-tenant state.
+  // Accumulated tombstones are compacted once they reach a quarter of the
+  // stored entries, so mass dropuser churn returns the state's memory to
+  // baseline instead of leaving dead rows resident.
   void ForgetUser(std::size_t user);
 
   // Heap bytes held by the state (tests and bench memory accounting).
@@ -138,8 +113,8 @@ struct OpusOptions {
   // solution against the full problem's KKT residual, and fall back to a
   // full solve when the residual misses tolerance.
   bool restricted_tax_solves = true;
-  // Incremental-window behaviour (only consulted when AllocateIncremental
-  // is called with a state; plain Allocate is always cold).
+  // Aggregated-window tuning (only consulted when AllocateIncremental is
+  // called with a state and aggregation is on; plain Allocate is cold).
   OpusDeltaOptions delta;
   // ROBUS-style user aggregation: cluster users by normalized-preference
   // similarity, solve the K-cluster problem, split each cluster's tax
@@ -170,7 +145,7 @@ struct OpusDiagnostics {
   // feeds back into the allocation, so results stay deterministic.
   double drift_wall_ms = 0.0;     // drift stats vs. the warm state
   double cluster_wall_ms = 0.0;   // (re-)clustering + aggregate build
-  double star_wall_ms = 0.0;      // star PF solve (incl. delta composition)
+  double star_wall_ms = 0.0;      // star PF solve
   double tax_wall_ms = 0.0;       // leave-one-out / leave-one-member-out solves
   double finalize_wall_ms = 0.0;  // disaggregation, stage 2, state refresh
 };
@@ -186,25 +161,17 @@ class OpusAllocator final : public CacheAllocator {
   AllocationResult AllocateWithDiagnostics(const CachingProblem& problem,
                                            OpusDiagnostics* diag) const;
 
-  // Incremental window: warm-starts every PF solve from `state` (and, in
-  // delta mode, composes unchanged users from it — see OpusDeltaOptions),
-  // then refreshes `state` with this window's outcome. A null, invalid, or
+  // Incremental window: warm-starts every PF solve from `state`, then
+  // refreshes `state` with this window's outcome. A null, invalid, or
   // structurally incompatible state (dimension/capacity/file-size/weight
   // mismatch) degrades to the cold solve, byte-identical to Allocate().
-  // With options.aggregation.max_clusters > 0 the window is solved at
-  // cluster granularity and disaggregated (state then holds cluster rows).
+  // With options.aggregation configured the window is solved at cluster
+  // granularity and disaggregated (see OpusDeltaOptions for its reuse).
   AllocationResult AllocateIncremental(const CachingProblem& problem,
                                        OpusWarmState* state,
                                        OpusDiagnostics* diag = nullptr) const;
 
  private:
-  AllocationResult AllocateDirect(const CachingProblem& problem,
-                                  OpusWarmState* state,
-                                  OpusDiagnostics* diag) const;
-  AllocationResult AllocateAggregated(const CachingProblem& problem,
-                                      OpusWarmState* state,
-                                      OpusDiagnostics* diag) const;
-
   OpusOptions options_;
 };
 

@@ -148,27 +148,23 @@ struct AllocationResult {
   double solver_nnz_ratio = 0.0;
 
   // Incremental-window accounting (zero for cold solves): whether the star
-  // solve was warm-started from a previous window, whether the delta path
-  // (drift bookkeeping + tax-reuse gate) was active this window, whether
-  // the restricted star composition actually served the star solve, how
-  // many per-user (or per-cluster) tax solves ran vs. were reused from the
-  // warm state, how many delta compositions missed the full-problem KKT
-  // gate and fell back to a warm full solve, and the cluster count when
-  // user aggregation was in effect (0 = unaggregated).
+  // solve was warm-started from a previous window, whether cluster-tax
+  // reuse was active this window (sticky aggregated windows), how many
+  // cluster tax solves ran vs. were reused from the warm state, and the
+  // cluster count when user aggregation was in effect (0 = per-user).
   bool solver_warm_started = false;
   bool solver_delta_window = false;
-  bool solver_delta_star_composed = false;
-  // True when the delta path was configured but skipped for this window
-  // because the observed drifted-user fraction crossed
+  // True when cluster-tax reuse was skipped for this window because the
+  // observed drifted-user fraction crossed
   // OpusDeltaOptions::auto_off_drift_fraction (bookkeeping would cost more
   // than reuse saves).
   bool solver_delta_auto_off = false;
   // Fraction of mechanism-active users whose preference row drifted beyond
-  // the drift threshold vs. the warm state (0 for cold windows).
+  // the drift threshold vs. the warm state (0 for cold and per-user
+  // windows without aggregation).
   double solver_drift_fraction = 0.0;
   std::uint64_t solver_delta_resolved = 0;
   std::uint64_t solver_delta_reused = 0;
-  std::uint64_t solver_delta_fallbacks = 0;
   std::uint64_t solver_agg_clusters = 0;
 };
 

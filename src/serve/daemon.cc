@@ -176,8 +176,6 @@ std::string Daemon::HandleStatus() const {
       << counter_of("master.solver.delta_resolved") << '\n'
       << "solver_delta_reused=" << counter_of("master.solver.delta_reused")
       << '\n'
-      << "solver_delta_fallbacks="
-      << counter_of("master.solver.delta_fallbacks") << '\n'
       << "audit_windows=" << audit.windows.size() << '\n'
       << "audit_violations=" << audit.total_violations << '\n'
       << "audit_clean=" << (audit.total_violations == 0 ? 1 : 0) << '\n'

@@ -99,16 +99,18 @@ void ServingEngine::ProbeChunk(
   // no store needs a lock.
   const bool telemetry = telemetry_ != nullptr;
   const std::uint64_t sample_every = sample_every_;
+  const std::uint64_t first = events_seen_;  // running count of `begin`
   const auto body = [&](std::size_t t) {
     std::vector<EventPartial>& slab = partials_[t];
     for (std::size_t k = begin; k < end; ++k) {
       const workload::AccessEvent& ev = events[k];
       const cache::FileInfo& info = catalog.Get(ev.file);
       EventPartial& partial = slab[k - begin];
-      // Sampling keys off the event index, so every thread times the same
-      // events and the drain can sum the per-thread partial durations into
-      // one per-request figure.
-      const bool sampled = telemetry && (k % sample_every) == 0;
+      // Sampling keys off the running event count, so every thread times
+      // the same events and the drain can sum the per-thread partial
+      // durations into one per-request figure.
+      const bool sampled =
+          telemetry && (first + (k - begin)) % sample_every == 0;
       const std::uint64_t probe_start = sampled ? obs::MonotonicNanos() : 0;
       const auto& by_worker = file_worker_blocks_[ev.file];
       for (std::size_t w = t; w < workers; w += threads_) {
@@ -166,7 +168,7 @@ void ServingEngine::DrainChunk(
     stats->bytes_from_disk += r.bytes_from_disk;
     stats->effective_hit_sum += r.effective_hit;
     stats->latency_sum_sec += r.latency_sec;
-    if (telemetry && (k % sample_every_) == 0) {
+    if (telemetry && (events_seen_ + (k - begin)) % sample_every_ == 0) {
       // Per-request probe time: the event's shard visits ran on different
       // threads, so the honest per-request scalar is the summed work.
       std::uint64_t nanos = 0;
@@ -174,6 +176,7 @@ void ServingEngine::DrainChunk(
       RecordReadLatency(ev.user, managed, nanos);
     }
   }
+  events_seen_ += end - begin;
   for (std::size_t w = 0; w < worker_deltas_.size(); ++w) {
     WorkerDelta& d = worker_deltas_[w];
     if (d.hits | d.hit_bytes | d.misses | d.miss_bytes) {
@@ -215,7 +218,7 @@ void ServingEngine::ServeSerial(const workload::AccessEvent& event,
       }
     }
   }
-  const bool sampled = telemetry && (serial_tick_++ % sample_every_) == 0;
+  const bool sampled = telemetry && (events_seen_++ % sample_every_) == 0;
   const std::uint64_t read_start = sampled ? obs::MonotonicNanos() : 0;
   const bool managed = cluster_->managed();
   const cache::ReadResult r = cluster_->Read(event.user, event.file);

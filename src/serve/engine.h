@@ -70,8 +70,9 @@ struct EngineConfig {
   obs::RuntimeTelemetry* telemetry = nullptr;
   // Optional flight recorder for phase/drain/realloc spans.
   obs::FlightRecorder* recorder = nullptr;
-  // Time every Nth event (per Serve call, by event index). Sampling keeps
-  // the clock reads off the common path: the overhead budget is <2% and a
+  // Time every Nth event served, counted across Serve/ServeRange calls so
+  // one-event requests are sampled like bulk ones. Sampling keeps the
+  // clock reads off the common path: the overhead budget is <2% and a
   // steady_clock read costs ~25ns against ~1us/event.
   std::uint64_t telemetry_sample_every = 16;
 };
@@ -147,7 +148,7 @@ class ServingEngine {
   obs::RuntimeTelemetry* telemetry_;  // null = runtime telemetry off
   obs::FlightRecorder* recorder_;
   std::uint64_t sample_every_;
-  std::uint64_t serial_tick_ = 0;  // sampling counter for ServeSerial
+  std::uint64_t events_seen_ = 0;  // events served so far (sampling clock)
   // Pre-resolved central histograms (valid iff telemetry_ != nullptr).
   obs::LogLinearHistogram* read_managed_ns_ = nullptr;
   obs::LogLinearHistogram* read_unmanaged_ns_ = nullptr;

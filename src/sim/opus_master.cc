@@ -112,15 +112,13 @@ void OpusMaster::InitObservability() {
   solver_fallback_counter_ = &m.counter("master.solver.restricted_fallbacks");
   solver_nnz_gauge_ = &m.gauge("master.solver.nnz_ratio");
   // Incremental-window accounting: windows whose star solve warm-started,
-  // windows served by the delta composition path, tax solves run vs reused
-  // across delta windows, delta compositions that missed the KKT gate and
-  // fell back to a warm full solve, and the cluster count of the last
-  // aggregated window (0 = unaggregated).
+  // windows with cluster-tax reuse active, cluster tax solves run vs
+  // reused across those windows, and the cluster count of the last
+  // aggregated window (0 = per-user).
   solver_warm_counter_ = &m.counter("master.solver.warm_starts");
   delta_window_counter_ = &m.counter("master.solver.delta_windows");
   delta_resolved_counter_ = &m.counter("master.solver.delta_resolved");
   delta_reused_counter_ = &m.counter("master.solver.delta_reused");
-  delta_fallback_counter_ = &m.counter("master.solver.delta_fallbacks");
   agg_clusters_gauge_ = &m.gauge("master.solver.agg_clusters");
   solve_iterations_hist_ = &m.histogram(
       "master.solve.iterations", {100.0, 1000.0, 10000.0, 100000.0});
@@ -296,7 +294,6 @@ void OpusMaster::SolveAndApply(const CachingProblem& problem) {
   if (result.solver_delta_window) delta_window_counter_->Increment();
   delta_resolved_counter_->Increment(result.solver_delta_resolved);
   delta_reused_counter_->Increment(result.solver_delta_reused);
-  delta_fallback_counter_->Increment(result.solver_delta_fallbacks);
   agg_clusters_gauge_->Set(static_cast<double>(result.solver_agg_clusters));
   if (!result.shared) {
     ig_fallback_counter_->Increment();

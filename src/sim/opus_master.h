@@ -203,7 +203,6 @@ class OpusMaster {
   obs::Counter* delta_window_counter_ = nullptr;
   obs::Counter* delta_resolved_counter_ = nullptr;
   obs::Counter* delta_reused_counter_ = nullptr;
-  obs::Counter* delta_fallback_counter_ = nullptr;
   obs::Gauge* agg_clusters_gauge_ = nullptr;
   obs::Histogram* solve_iterations_hist_ = nullptr;
   obs::Histogram* solve_wall_hist_ = nullptr;  // volatile (wall time)

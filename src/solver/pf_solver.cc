@@ -366,7 +366,7 @@ PfSolution SolveProportionalFairnessCsr(const CsrMatrix& preferences,
   if (!utility_offsets.empty()) {
     OPUS_CHECK_EQ(utility_offsets.size(), preferences.rows());
   }
-  SparseOps ops{preferences, utility_offsets};
+  SparseOps ops{preferences, utility_offsets, {}};
   return SolveCore(ops, capacity, options, weights, warm_start, file_sizes);
 }
 
@@ -384,7 +384,7 @@ double PfOptimalityResidualCsr(const CsrMatrix& preferences, double capacity,
                                std::span<const double> weights,
                                std::span<const double> file_sizes) {
   OPUS_CHECK_EQ(allocation.size(), preferences.cols());
-  SparseOps ops{preferences, {}};
+  SparseOps ops{preferences, {}, {}};
   const auto active = ops.Active(weights);
   std::vector<double> utilities(preferences.rows(), 0.0);
   if (ops.Objective(weights, active, allocation, utilities) == kNegInf) {
@@ -422,6 +422,18 @@ void PfStats::Observe(const PfSolution& solution) {
   projection_exact += solution.projection_exact;
   warm_started_solves += solution.warm_start_used ? 1 : 0;
   max_residual = std::max(max_residual, solution.residual);
+}
+
+void PfStats::Merge(const PfStats& other) {
+  solves += other.solves;
+  iterations += other.iterations;
+  projection_calls += other.projection_calls;
+  projection_warm_hits += other.projection_warm_hits;
+  projection_exact += other.projection_exact;
+  restricted_solves += other.restricted_solves;
+  restricted_fallbacks += other.restricted_fallbacks;
+  warm_started_solves += other.warm_started_solves;
+  max_residual = std::max(max_residual, other.max_residual);
 }
 
 }  // namespace opus

@@ -111,6 +111,8 @@ struct PfStats {
   double max_residual = 0.0;
 
   void Observe(const PfSolution& solution);
+  // Adds `other`'s counts and keeps the larger residual.
+  void Merge(const PfStats& other);
 };
 
 // Max KKT violation of `allocation` for the PF problem: the L-inf norm of

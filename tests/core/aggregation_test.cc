@@ -1,8 +1,9 @@
-// ROBUS-style user aggregation (core/aggregation.h + AllocateAggregated):
-// clustering is deterministic and complete, tax disaggregation splits by
-// priority weight, singleton clusters reproduce the user-level mechanism,
-// and aggregated windows preserve every user's isolation guarantee (the
-// property cluster-level stage 2 alone cannot give).
+// ROBUS-style user aggregation (core/aggregation.h + clustered windows of
+// AllocateIncremental): clustering is deterministic and complete, tax
+// disaggregation splits by priority weight, singleton clusters reproduce
+// the user-level mechanism, and aggregated windows preserve every user's
+// isolation guarantee (the property cluster-level stage 2 alone cannot
+// give).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -177,8 +178,8 @@ TEST(AggregationTest, AggregatedStateWarmStartsTheNextWindow) {
     EXPECT_NEAR(second.taxes[i], first.taxes[i], 1e-6);
   }
 
-  // A user-granularity (direct) window must not consume a cluster state —
-  // and afterwards the state belongs to the direct path.
+  // A window with aggregation off must not consume a cluster state — and
+  // afterwards the state belongs to per-user windows.
   const OpusAllocator direct_alloc;
   const AllocationResult direct = direct_alloc.AllocateIncremental(p, &state);
   EXPECT_FALSE(direct.solver_warm_started);

@@ -1,13 +1,13 @@
 // Incremental allocation windows (AllocateIncremental + OpusWarmState):
-// warm-started and delta windows must agree with the cold solver. Delta
-// windows compose stale users from the warm state, so their reused taxes
-// carry the documented tolerance; everything the KKT gate guards — the
-// allocation itself, re-solved taxes, the sharing decision — must match
-// to solver accuracy, and every gate miss must fall back (counted) rather
-// than ship an unvalidated point.
+// warm-started windows must agree with the cold solver to solver accuracy
+// — the allocation, every tax and the sharing decision — and the warm
+// state must follow user churn. Per-user windows are also pinned bit for
+// bit (OpusPipelineTest).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -122,33 +122,19 @@ TEST(IncrementalTest, CapacityChangeRunsCold) {
   EXPECT_EQ(state.windows, 1u);
 }
 
-// Property: across randomized drift sets and misreports, the delta
-// window's allocation and sharing decision match the cold solver exactly
-// (the KKT gate guards them), and every tax honors the reuse contract —
-// it is either the cold tax (re-solved, solver-exact) or verbatim the
-// previous window's tax (reused; approximate by design, audited per
-// window). Nothing in between may ship.
+// Property: across randomized drift sets and misreports, with and without
+// priority weights, a warm per-user window lands on the cold solver's
+// allocation, taxes and sharing decision. The delta options tune only
+// aggregated windows: configured here, they must reuse no per-user tax.
 TEST(IncrementalTest, DeltaAgreesAcrossRandomizedDrift) {
-  OpusOptions options;
-  options.delta.drift_threshold = 0.05;
-  options.delta.utility_rel_tolerance = 0.05;
-  const OpusAllocator alloc(options);
-  const OpusAllocator cold_alloc;  // plain options: always cold
-
   for (std::uint64_t seed : {101u, 202u, 303u, 404u}) {
     Rng rng(seed);
     const std::size_t n = 16 + rng.NextBounded(16);
     const CachingProblem w0 = ZipfProblem(n, 64, 16.0, seed);
-    OpusWarmState state;
-    // The warm state carries window 0's *stage-1* taxes (what a reused tax
-    // is defined to be), not the result taxes — those drop to zero when a
-    // window settles on isolated caches.
-    OpusDiagnostics prev_diag;
-    alloc.AllocateIncremental(w0, &state, &prev_diag);
 
     // Drift a random minority, then overwrite one extra row entirely (a
-    // misreport: the master cannot tell drift from lies, and neither path
-    // may treat them differently).
+    // misreport: the master cannot tell drift from lies, and the warm
+    // window may not treat them differently).
     const std::size_t drifted = 1 + rng.NextBounded(n / 4);
     CachingProblem w1 = BlendDrift(w0, drifted, seed + 7);
     std::vector<double> lie(w1.num_files(), 0.0);
@@ -157,78 +143,71 @@ TEST(IncrementalTest, DeltaAgreesAcrossRandomizedDrift) {
     }
     w1 = w1.WithMisreport(n - 1, lie);
 
-    const AllocationResult delta = alloc.AllocateIncremental(w1, &state);
-    const AllocationResult cold = cold_alloc.Allocate(w1);
-    EXPECT_EQ(delta.shared, cold.shared);
-    for (std::size_t j = 0; j < w1.num_files(); ++j) {
-      EXPECT_NEAR(delta.file_alloc[j], cold.file_alloc[j], 1e-5) << j;
+    OpusOptions tuned;
+    tuned.delta.drift_threshold = 0.05;
+    tuned.delta.utility_rel_tolerance = 0.05;
+    OpusOptions weighted = tuned;
+    weighted.user_weights.assign(n, 1.0);
+    weighted.user_weights[2] = 3.0;
+    weighted.user_weights[9] = 0.5;
+    for (const OpusOptions& options : {OpusOptions(), tuned, weighted}) {
+      const OpusAllocator alloc(options);
+      OpusWarmState state;
+      alloc.AllocateIncremental(w0, &state);
+      const AllocationResult warm = alloc.AllocateIncremental(w1, &state);
+      EXPECT_TRUE(warm.solver_warm_started);
+      EXPECT_FALSE(warm.solver_delta_window);
+      EXPECT_EQ(warm.solver_delta_reused, 0u);
+      ExpectSameResult(warm, alloc.Allocate(w1), 1e-5, 1e-6);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const double vs_cold = std::abs(delta.taxes[i] - cold.taxes[i]);
-      const double vs_prev = std::abs(delta.taxes[i] - prev_diag.taxes[i]);
-      EXPECT_LE(std::min(vs_cold, vs_prev), 1e-6) << "user " << i;
-    }
-    EXPECT_EQ(delta.solver_delta_resolved + delta.solver_delta_reused, n);
-    EXPECT_GT(delta.solver_delta_resolved, 0u);  // drifted users re-solve
   }
+}
+
+// Priority weights enter a warm per-user window exactly as they enter the
+// cold solver, with the delta options at their tightest.
+TEST(IncrementalTest, DeltaRespectsPriorityWeights) {
+  OpusOptions options;
+  options.delta.drift_threshold = 0.05;
+  options.delta.utility_rel_tolerance = 0.0;
+  options.user_weights.assign(16, 1.0);
+  options.user_weights[2] = 3.0;
+  options.user_weights[9] = 0.5;
+  const OpusAllocator alloc(options);
+  OpusOptions cold_options;
+  cold_options.user_weights = options.user_weights;
+  const CachingProblem w0 = ZipfProblem(16, 64, 16.0, 71);
+  const CachingProblem w1 = BlendDrift(w0, 2, 72);
+  OpusWarmState state;
+  alloc.AllocateIncremental(w0, &state);
+  const AllocationResult r = alloc.AllocateIncremental(w1, &state);
+  EXPECT_TRUE(r.solver_warm_started);
+  ExpectSameResult(r, OpusAllocator(cold_options).Allocate(w1), 1e-5, 1e-6);
 }
 
 TEST(IncrementalTest, ForgetUserForcesResolve) {
   OpusOptions options;
-  options.delta.drift_threshold = 0.05;
+  options.aggregation.auto_tune = true;
+  options.aggregation.min_clusters = 4;
   options.delta.utility_rel_tolerance = 1e9;  // reuse whenever allowed
   const OpusAllocator alloc(options);
   const CachingProblem p = ZipfProblem(12, 24, 6.0, 41);
   OpusWarmState state;
-  alloc.AllocateIncremental(p, &state);
+  alloc.AllocateIncremental(p, &state);  // cold, full budget
+  alloc.AllocateIncremental(p, &state);  // budget settles to the floor
+  // An unchanged sticky window reuses every cluster's tax.
+  const AllocationResult stable = alloc.AllocateIncremental(p, &state);
+  ASSERT_TRUE(stable.solver_delta_window);
+  EXPECT_EQ(stable.solver_delta_resolved, 0u);
+  EXPECT_EQ(stable.solver_delta_reused, stable.solver_agg_clusters);
 
   // Churn: user 3 leaves and a new tenant with identical preferences takes
-  // the slot. Its zeroed warm row must register as drift, so its tax is
-  // re-solved (a reuse would ship the forgotten 0 tax).
+  // the slot. Its zeroed warm row must register as drift, so its cluster's
+  // tax is re-solved (a reuse would ship the departed tenant's window).
   state.ForgetUser(3);
   const AllocationResult r = alloc.AllocateIncremental(p, &state);
-  const AllocationResult cold = OpusAllocator().Allocate(p);
-  ASSERT_GT(cold.taxes[3], 1e-6);  // instance chosen so the tax is real
-  EXPECT_NEAR(r.taxes[3], cold.taxes[3], 1e-6);
-}
-
-TEST(IncrementalTest, RiggedGateFallsBackToWarmFullSolve) {
-  OpusOptions options;
-  options.delta.drift_threshold = 0.05;
-  options.delta.utility_rel_tolerance = 0.0;  // no reuse: taxes stay exact
-  options.delta.gate_slack = 0.0;  // residual gate can never pass
-  const OpusAllocator alloc(options);
-  // Sparse rows and tight capacity keep the drifted support + interior +
-  // recruit column set well under the 3/4-of-M attempt threshold.
-  const CachingProblem w0 = ZipfProblem(24, 512, 24.0, 51, 0.02);
-  const CachingProblem w1 = BlendDrift(w0, 1, 52, 0.02);
-  OpusWarmState state;
-  alloc.AllocateIncremental(w0, &state);
-
-  const AllocationResult r = alloc.AllocateIncremental(w1, &state);
-  EXPECT_GE(r.solver_delta_fallbacks, 1u);
-  // The delta path was active (drift bookkeeping ran) but the composition
-  // missed the gate, so the star was NOT served by the composed point.
+  EXPECT_GT(r.solver_drift_fraction, 0.0);
   EXPECT_TRUE(r.solver_delta_window);
-  EXPECT_FALSE(r.solver_delta_star_composed);
-  ExpectSameResult(r, OpusAllocator().Allocate(w1), 1e-5, 1e-6);
-}
-
-TEST(IncrementalTest, DeltaWindowComposesOnLargeSparseProblems) {
-  OpusOptions options;
-  options.delta.drift_threshold = 0.05;
-  options.delta.utility_rel_tolerance = 0.0;  // no reuse: taxes stay exact
-  const OpusAllocator alloc(options);
-  const CachingProblem w0 = ZipfProblem(24, 512, 24.0, 61, 0.02);
-  const CachingProblem w1 = BlendDrift(w0, 2, 62, 0.02);
-  OpusWarmState state;
-  alloc.AllocateIncremental(w0, &state);
-
-  const AllocationResult r = alloc.AllocateIncremental(w1, &state);
-  EXPECT_TRUE(r.solver_delta_window);
-  EXPECT_TRUE(r.solver_delta_star_composed);  // restriction gated in
-  EXPECT_EQ(r.solver_delta_fallbacks, 0u);
-  ExpectSameResult(r, OpusAllocator().Allocate(w1), 1e-5, 1e-6);
+  EXPECT_GE(r.solver_delta_resolved, 1u);
 }
 
 TEST(IncrementalTest, MassChurnCompactsTombstonedRows) {
@@ -253,12 +232,9 @@ TEST(IncrementalTest, MassChurnCompactsTombstonedRows) {
   EXPECT_LT(state.MemoryBytes(), bytes_full);
   EXPECT_EQ(state.preferences.rows(), 512u);  // shape intact, rows empty
 
-  // A revived user registers as drift — the next window re-solves it and
+  // The next warm window re-solves every user, revived ones included, and
   // still matches the cold solver.
-  OpusOptions options;
-  options.delta.drift_threshold = 0.05;
-  options.delta.utility_rel_tolerance = 0.0;
-  const OpusAllocator alloc(options);
+  const OpusAllocator alloc;
   const AllocationResult r = alloc.AllocateIncremental(p, &state);
   EXPECT_TRUE(r.solver_warm_started);
   ExpectSameResult(r, OpusAllocator().Allocate(p), 1e-5, 1e-6);
@@ -269,23 +245,184 @@ TEST(IncrementalTest, MassChurnCompactsTombstonedRows) {
   EXPECT_EQ(state.MemoryBytes(), 0u);
 }
 
-TEST(IncrementalTest, DeltaRespectsPriorityWeights) {
-  OpusOptions options;
-  options.delta.drift_threshold = 0.05;
-  options.delta.utility_rel_tolerance = 0.0;
-  options.user_weights.assign(16, 1.0);
-  options.user_weights[2] = 3.0;
-  options.user_weights[9] = 0.5;
+// A cold window, then three warm windows: drift, a misreport (the last
+// user claims three files only), and drift again.
+std::vector<CachingProblem> DriftWindows(std::size_t users, std::size_t files,
+                                         double capacity, std::uint64_t seed,
+                                         double density = 1.0) {
+  std::vector<CachingProblem> w;
+  w.push_back(ZipfProblem(users, files, capacity, seed, density));
+  w.push_back(BlendDrift(w.back(), 3, seed + 1, density));
+  std::vector<double> lie(files, 0.0);
+  lie[1] = 1.0;
+  lie[files / 2] = 1.0;
+  lie[files - 1] = 1.0;
+  w.push_back(w.back().WithMisreport(users - 1, lie));
+  w.push_back(BlendDrift(w.back(), 2, seed + 2, density));
+  return w;
+}
+
+// FNV-1a over the bits of integers, doubles and sequences of them.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(const T& v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      Add(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      for (int byte = 0; byte < 8; ++byte) {
+        h_ ^= (static_cast<std::uint64_t>(v) >> (8 * byte)) & 0xff;
+        h_ *= 0x100000001b3ull;
+      }
+    } else {
+      Add(v.size());
+      for (const auto& x : v) Add(x);
+    }
+  }
+  void Add(const Matrix& m) {
+    Add(m.rows());
+    Add(m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i) Add(m.row(i));
+  }
+  void Add(const CsrMatrix& m) {
+    Add(m.rows());
+    Add(m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      Add(m.row_cols(i));
+      Add(m.row_vals(i));
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// Runs `windows` in order through one allocator and one warm state, and
+// hashes every output of every window: the result with its solver
+// counters, the stage-1 diagnostics (wall times aside) and the refreshed
+// warm state.
+std::uint64_t PinWindows(const OpusOptions& options,
+                         const std::vector<CachingProblem>& windows) {
   const OpusAllocator alloc(options);
-  OpusOptions cold_options;
-  cold_options.user_weights = options.user_weights;
-  const CachingProblem w0 = ZipfProblem(16, 64, 16.0, 71);
-  const CachingProblem w1 = BlendDrift(w0, 2, 72);
-  OpusWarmState state;
-  alloc.AllocateIncremental(w0, &state);
-  const AllocationResult r = alloc.AllocateIncremental(w1, &state);
-  EXPECT_TRUE(r.solver_warm_started);
-  ExpectSameResult(r, OpusAllocator(cold_options).Allocate(w1), 1e-5, 1e-6);
+  OpusWarmState s;
+  Fnv1a h;
+  for (const CachingProblem& w : windows) {
+    OpusDiagnostics d;
+    const AllocationResult r = alloc.AllocateIncremental(w, &s, &d);
+    h.Add(r.policy);
+    h.Add(r.file_alloc);
+    h.Add(r.access);
+    h.Add(r.taxes);
+    h.Add(r.blocking);
+    h.Add(r.reported_utilities);
+    h.Add(r.shared);
+    h.Add(r.per_user_copies);
+    h.Add(r.copy_footprint);
+    h.Add(r.solver_iterations);
+    h.Add(r.solver_residual);
+    h.Add(r.solver_solves);
+    h.Add(r.solver_projections);
+    h.Add(r.solver_restricted_taxes);
+    h.Add(r.solver_restricted_fallbacks);
+    h.Add(r.solver_nnz_ratio);
+    h.Add(r.solver_warm_started);
+    h.Add(r.solver_delta_window);
+    h.Add(r.solver_delta_auto_off);
+    h.Add(r.solver_drift_fraction);
+    h.Add(r.solver_delta_resolved);
+    h.Add(r.solver_delta_reused);
+    h.Add(r.solver_agg_clusters);
+    h.Add(d.pf_allocation);
+    h.Add(d.pf_utilities);
+    h.Add(d.taxes);
+    h.Add(d.break_even_taxes);
+    h.Add(d.net_utilities);
+    h.Add(d.isolated_utilities);
+    h.Add(d.settled_on_sharing);
+    h.Add(d.solver_iterations);
+    h.Add(s.valid);
+    h.Add(s.preferences);
+    h.Add(s.capacity);
+    h.Add(s.shape_key);
+    h.Add(s.star_allocation);
+    h.Add(s.cluster_of);
+    h.Add(s.leader_of);
+    h.Add(s.cluster_taxes);
+    h.Add(s.windows);
+  }
+  return h.value();
+}
+
+// The hashes were recorded with the allocator that ran per-user windows
+// and clustered windows as two separate functions; the one window pipeline
+// must reproduce every per-user window bit for bit.
+TEST(OpusPipelineTest, PinnedPerUserWindows) {
+  const OpusOptions plain;
+  EXPECT_EQ(PinWindows(plain, {ZipfProblem(12, 24, 6.0, 5)}),
+            0x479e132056a9ccd0ull);
+  const std::vector<CachingProblem> drift = DriftWindows(16, 32, 8.0, 11);
+  EXPECT_EQ(PinWindows(plain, drift), 0x38583bc2f7a4d5dcull);
+
+  OpusOptions weighted;
+  weighted.user_weights.assign(16, 1.0);
+  weighted.user_weights[2] = 3.0;
+  weighted.user_weights[9] = 0.5;
+  EXPECT_EQ(PinWindows(weighted, drift), 0x716a3ab708a49ec7ull);
+
+  std::vector<CachingProblem> sized = DriftWindows(10, 20, 9.0, 21);
+  for (CachingProblem& w : sized) {
+    for (std::size_t j = 0; j < w.num_files(); ++j) {
+      w.file_sizes.push_back(0.5 + 0.25 * static_cast<double>(j % 5));
+    }
+  }
+  EXPECT_EQ(PinWindows(plain, sized), 0x61e82855b0b6c06aull);
+
+  // User 4 reports nothing in the first two windows, then returns.
+  std::vector<CachingProblem> zero_row = DriftWindows(12, 24, 6.0, 31);
+  for (std::size_t k = 0; k < 2; ++k) {
+    zero_row[k] = zero_row[k].WithMisreport(4, std::vector<double>(24, 0.0));
+  }
+  EXPECT_EQ(PinWindows(plain, zero_row), 0xf06e13d412cc44e0ull);
+
+  // Capacity covers every file: the star caches everything.
+  EXPECT_EQ(PinWindows(plain, DriftWindows(8, 16, 16.0, 41)),
+            0x83d04316f95686f5ull);
+
+  // Disjoint demands under tight capacity: taxes pass break-even and both
+  // windows fall back to isolated caches.
+  CachingProblem disjoint;
+  disjoint.preferences = Matrix::FromRows({{1.0, 0.0}, {0.0, 1.0}});
+  disjoint.capacity = 1.0;
+  EXPECT_EQ(PinWindows(plain, {disjoint, disjoint}), 0x847954d03c0e00ccull);
+
+  // Tax solves are bit-identical at any thread count, so one pin covers
+  // the sequential default and 1 and 4 threads.
+  for (const unsigned threads : {1u, 4u}) {
+    OpusOptions threaded;
+    threaded.tax_threads = threads;
+    EXPECT_EQ(PinWindows(threaded, drift), 0x38583bc2f7a4d5dcull) << threads;
+  }
+
+  OpusOptions dense;
+  dense.use_dense_solver = true;
+  EXPECT_EQ(PinWindows(dense, drift), 0x4ca7a89708335cc0ull);
+
+  OpusOptions unrestricted;
+  unrestricted.restricted_tax_solves = false;
+  EXPECT_EQ(PinWindows(unrestricted, drift), 0x82f3e6cf15793e97ull);
+
+  // Sparse rows over many files: restricted leave-one-out solves hit and
+  // fall back, and the windows fall back to isolated caches.
+  EXPECT_EQ(PinWindows(plain, DriftWindows(24, 512, 24.0, 51, 0.02)),
+            0x483a265333e15d61ull);
+
+  // Sparse-backed problems report net utilities without an access matrix.
+  std::vector<CachingProblem> sparse;
+  for (const CachingProblem& w : drift) {
+    sparse.push_back(CachingProblem::FromCsr(w.PreferencesCsr(), w.capacity));
+  }
+  EXPECT_EQ(PinWindows(plain, sparse), 0x72cf9f1fe8c135a0ull);
 }
 
 }  // namespace

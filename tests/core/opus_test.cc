@@ -190,7 +190,7 @@ TEST(OpusTest, DiagnosticsConsistency) {
 TEST(OpusTest, SparseBackedProblemMatchesDense) {
   // A CSR-built (lean, dense-free) problem must run through the full
   // mechanism and land on the same allocation, taxes, and net utilities as
-  // its dense twin — for the direct path and the aggregated path. The lean
+  // its dense twin — for per-user and aggregated windows. The lean
   // result reports net utilities without ever materializing an N x M
   // access matrix.
   const CachingProblem dense = [] {

@@ -71,8 +71,8 @@ TEST(ParallelTaxTest, WorksWithPriorityWeights) {
 // Randomized incremental-window property: a sequence of windows with
 // random drift (re-drawn rows) and misreports (spiked rows) must produce
 // byte-for-byte identical allocations and taxes at tax_threads 1, 2, and 8
-// — in direct delta mode and under drift-adaptive aggregation. This is
-// also the TSan target for the parallel pivotal solves and their per-slot
+// — in per-user windows and under drift-adaptive aggregation. This is also
+// the TSan target for the parallel pivotal solves and their per-slot
 // scratch slabs.
 TEST(ParallelTaxTest, RandomizedIncrementalWindowsBitIdentical) {
   constexpr std::size_t kUsers = 96, kFiles = 64, kWindows = 5;
@@ -115,7 +115,6 @@ TEST(ParallelTaxTest, RandomizedIncrementalWindowsBitIdentical) {
 
   for (const bool aggregated : {false, true}) {
     OpusOptions base;
-    base.delta.drift_threshold = 0.05;
     if (aggregated) {
       base.aggregation.auto_tune = true;
       base.aggregation.min_clusters = 8;
@@ -132,7 +131,7 @@ TEST(ParallelTaxTest, RandomizedIncrementalWindowsBitIdentical) {
       }
       for (std::size_t lane = 1; lane < 3; ++lane) {
         SCOPED_TRACE(::testing::Message()
-                     << (aggregated ? "aggregated" : "direct") << " window "
+                     << (aggregated ? "aggregated" : "per-user") << " window "
                      << w << " threads " << kThreads[lane]);
         // Byte-for-byte: EQ on the double vectors, not NEAR.
         EXPECT_EQ(results[lane].file_alloc, results[0].file_alloc);

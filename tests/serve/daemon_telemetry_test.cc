@@ -54,6 +54,17 @@ std::string ReadAll(const std::string& path) {
 
 bool IsOk(const std::string& reply) { return reply.rfind("ok", 0) == 0; }
 
+// Timed reads across both serving modes.
+std::uint64_t SampledReads(Daemon& daemon) {
+  std::uint64_t sampled = 0;
+  for (const char* name :
+       {"serve.read.managed_ns", "serve.read.unmanaged_ns"}) {
+    const obs::LogLinearHistogram* reads = daemon.telemetry().Find(name);
+    if (reads != nullptr) sampled += reads->count();
+  }
+  return sampled;
+}
+
 // Extracts the integer after `"key": ` (or `"key":`) in a JSON fragment;
 // -1 when absent.
 long long JsonInt(const std::string& text, const std::string& key) {
@@ -84,7 +95,6 @@ TEST(DaemonTelemetryTest, StatusSurfacesSolverCountersAndAuditVerdict) {
   EXPECT_NE(status.find("solver_delta_windows="), std::string::npos);
   EXPECT_NE(status.find("solver_delta_resolved="), std::string::npos);
   EXPECT_NE(status.find("solver_delta_reused="), std::string::npos);
-  EXPECT_NE(status.find("solver_delta_fallbacks="), std::string::npos);
   EXPECT_NE(status.find("audit_windows="), std::string::npos);
   EXPECT_NE(status.find("audit_violations=0"), std::string::npos);
   EXPECT_NE(status.find("audit_clean=1"), std::string::npos);
@@ -94,11 +104,14 @@ TEST(DaemonTelemetryTest, StatusSurfacesSolverCountersAndAuditVerdict) {
 TEST(DaemonTelemetryTest, EngineRecordsLatencyIntoTheDaemonTelemetry) {
   Daemon daemon(SmallConfig(), SmallCatalog());
   daemon.HandleRequest("gen 200 7");
-  // Sampling is 1/16 by event index, so 200 events must record >= 12 reads.
+  // Sampling is 1/16 by running event count, so the 200 events record 13
+  // reads (events 0, 16, ..., 192). Events 0 and 16 are served before the
+  // first allocation (update interval 20), so they are unmanaged reads.
+  EXPECT_EQ(SampledReads(daemon), 13u);
   const obs::LogLinearHistogram* reads =
       daemon.telemetry().Find("serve.read.managed_ns");
   ASSERT_NE(reads, nullptr);
-  EXPECT_GE(reads->count(), 12u);
+  EXPECT_EQ(reads->count(), 11u);
   const obs::LogLinearHistogram* request =
       daemon.telemetry().Find("daemon.request.ns");
   ASSERT_NE(request, nullptr);
@@ -114,6 +127,18 @@ TEST(DaemonTelemetryTest, EngineRecordsLatencyIntoTheDaemonTelemetry) {
   for (const obs::HistogramSample& h : snap.histograms) {
     EXPECT_EQ(h.name.find("serve.read"), std::string::npos) << h.name;
   }
+}
+
+TEST(DaemonTelemetryTest, OneEventServeRequestsAreSampledLikeBulk) {
+  Daemon daemon(SmallConfig(), SmallCatalog());
+  for (int k = 0; k < 64; ++k) {
+    const std::string request =
+        "serve " + std::to_string(k % 2) + " " + std::to_string(k % 6);
+    ASSERT_TRUE(IsOk(daemon.HandleRequest(request))) << request;
+  }
+  // The sampling clock runs across requests: 1 in 16 of the 64 reads is
+  // timed, whichever path (drain or reallocation boundary) served it.
+  EXPECT_EQ(SampledReads(daemon), 4u);
 }
 
 TEST(DaemonTelemetryTest, MetricsPromExposesVolatileAndSummaries) {

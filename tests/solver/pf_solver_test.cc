@@ -154,7 +154,9 @@ TEST_P(PfSolverPropertyTest, KktOptimalAndFeasible) {
   for (std::size_t i = 0; i < n; ++i) {
     double row_sum = 0.0;
     for (std::size_t j = 0; j < m; ++j) row_sum += prefs(i, j);
-    if (row_sum > 0.0) EXPECT_GT(sol.utilities[i], 0.0);
+    if (row_sum > 0.0) {
+      EXPECT_GT(sol.utilities[i], 0.0);
+    }
   }
 }
 

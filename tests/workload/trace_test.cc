@@ -48,8 +48,12 @@ TEST(TraceTest, FilesFollowPreferences) {
       ++user0_total;
       if (e.file == 0) ++user0_file0;
     }
-    if (e.user == 0) EXPECT_NE(e.file, 2u);  // zero preference
-    if (e.user == 1) EXPECT_NE(e.file, 0u);
+    if (e.user == 0) {
+      EXPECT_NE(e.file, 2u);  // zero preference
+    }
+    if (e.user == 1) {
+      EXPECT_NE(e.file, 0u);
+    }
   }
   EXPECT_NEAR(static_cast<double>(user0_file0) / user0_total, 0.7, 0.03);
 }

@@ -23,9 +23,9 @@
 //   --agg-auto N      OpuS drift-adaptive user aggregation with minimum
 //                     cluster count N (>= 1); coarse clusters at low drift,
 //                     per-user solves at high drift
-//   --delta-auto-off F  drifted-user fraction in [0,1] at which OpuS's
-//                     delta machinery is skipped for a window (1 = never,
-//                     the default)
+//   --delta-auto-off F  with --agg-auto: drifted-user fraction in [0,1] at
+//                     which OpuS's cluster-tax reuse is skipped for a
+//                     window (1 = never, the default)
 //   --csv             machine-readable output (allocation + per-user rows)
 //   --compare         run every policy and print a utility comparison
 //   --explain         audit report of the OpuS decision (taxes, break-even,

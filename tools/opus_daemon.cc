@@ -27,13 +27,15 @@
 //   --update-interval N accesses between reallocations (default 200)
 //   --window N          learning-window length in accesses (default 800)
 //   --tax-threads N     threads for OpuS leave-one-out tax solves
-//   --delta-drift F     OpuS delta windows: per-user L1 drift beyond which
-//                       a user is re-solved; 0 disables (default 0)
-//   --delta-util-tol F  relative star-utility move beyond which a stale
-//                       user's tax is re-solved anyway (default 0.01)
-//   --delta-auto-off F  drifted-user fraction in [0,1] at which the delta
-//                       machinery is skipped for the window (1 = never,
-//                       the default)
+//   --delta-drift F     with --agg-clusters or --agg-auto: per-user L1
+//                       drift beyond which a user counts as drifted
+//                       (default 0.05)
+//   --delta-util-tol F  with --agg-clusters or --agg-auto: relative
+//                       star-utility move beyond which a sticky cluster's
+//                       tax is re-solved anyway (default 0.01)
+//   --delta-auto-off F  with --agg-clusters or --agg-auto: drifted-user
+//                       fraction in [0,1] at which cluster-tax reuse is
+//                       skipped for the window (1 = never, the default)
 //   --agg-clusters N    OpuS user aggregation: max clusters; 0 disables
 //                       (default 0)
 //   --agg-threshold F   L1 distance beyond which a user founds a new
